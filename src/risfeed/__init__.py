@@ -7,9 +7,9 @@ from .geometry import (ElementLayout, Scenario, build_linear_array,
                        make_center_feed, make_end_feed)
 from .coupling import (CouplingTerms, PropagationMatrix, element_gain,
                        coupling_terms, build_T)
-from .modes import (BeamVector, ModeAnalysis, ModeMetrics, ConvergenceError,
-                    jacobi_eigh, svd_modes, power_transfer, mode_metrics,
-                    nonpem_vector, isotropic_loss_db, rayleigh_f)
+from .modes import (BeamVector, ModeAnalysis, ModeMetrics, svd_modes,
+                    power_transfer, mode_metrics, nonpem_vector,
+                    isotropic_loss_db, rayleigh_f)
 from .patterns import (PatternCurve, ExcitationProfile, steering_vector,
                        amaf_pattern, ris_excitation, ris_pattern,
                        sidelobe_level, default_grid)

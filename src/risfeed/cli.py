@@ -14,14 +14,17 @@ half-wavelength units.
 
 import argparse
 import json
+import math
 import sys
 
 from . import sweep as sweep_mod
-from .modes import (ConvergenceError, mode_report, write_mode_report,
-                    nonpem_vector)
+from .modes import mode_report, write_mode_report, nonpem_vector
 from .patterns import (amaf_pattern, ris_pattern, ris_excitation,
                        default_grid, write_pattern_csv, write_profile_csv,
                        DEFAULT_GRID_STEP_DEG)
+
+# most angle or f samples one command may scan: 0.005 deg over [-90, 90]
+MAX_GRID_POINTS = 36001
 
 
 class UsageError(Exception):
@@ -76,11 +79,9 @@ def _build_parser():
 
     sp = sub.add_parser("analyze", help="single-scenario mode report (JSON)")
     scenario_flags(sp)
-    sp.add_argument("--beam", choices=["pem", "nonpem"], default="pem")
 
     sp = sub.add_parser("table", help="grid sweep table (CSV)")
     scenario_flags(sp, multi=True)
-    sp.add_argument("--beam", choices=["pem", "nonpem"], default="pem")
 
     sp = sub.add_parser("pattern", help="radiation pattern (CSV)")
     scenario_flags(sp)
@@ -111,7 +112,7 @@ def _build_parser():
     return p
 
 
-def _apply_config(parser, args, argv):
+def _apply_config(args, argv):
     """Fill unset flags from a JSON config file; CLI flags win."""
     if not getattr(args, "config", None):
         return args
@@ -129,15 +130,12 @@ def _apply_config(parser, args, argv):
     explicit = {a.lstrip("-").split("=")[0].replace("-", "_")
                 for a in argv if a.startswith("--")}
     for key, value in cfg.items():
+        if key in explicit or key.replace("-", "_") in explicit:
+            continue
         dest = {"np": "np_" if hasattr(args, "np_") else "np_list",
                 "f": "f" if hasattr(args, "f") else "f_list"}.get(
                     key, key.replace("-", "_"))
-        if key in explicit or key.replace("-", "_") in explicit:
-            continue
-        if dest in ("np_list", "f_list") and isinstance(value, list):
-            setattr(args, dest, value)
-        else:
-            setattr(args, dest, value)
+        setattr(args, dest, value)
     return args
 
 
@@ -153,31 +151,48 @@ def _validate(args):
     for name in ("na", "np_"):
         if hasattr(args, name) and getattr(args, name) < 1:
             raise UsageError(f"--{name.rstrip('_')} must be >= 1")
-    if hasattr(args, "f") and args.f <= 0:
-        raise UsageError("--f must be positive")
+    for name in ("f", "f_list", "f_min", "f_max", "f_step", "grid_step"):
+        value = getattr(args, name, None)
+        values = value if isinstance(value, list) else [value]
+        if value is not None and not all(
+                math.isfinite(v) and v > 0 for v in values):
+            flag = name.replace("_list", "").replace("_", "-")
+            raise UsageError(f"--{flag} must be positive and finite")
+    if hasattr(args, "grid_step") and 180.0 / args.grid_step > (
+            MAX_GRID_POINTS - 1):
+        raise UsageError(f"--grid-step gives more than {MAX_GRID_POINTS} "
+                         f"angles")
+    if args.subcommand == "sweep-f" and (
+            args.f_max - args.f_min) / args.f_step > MAX_GRID_POINTS - 1:
+        raise UsageError(f"--f-step gives more than {MAX_GRID_POINTS} "
+                         f"distances")
     if getattr(args, "tilted", False) and args.feed != "end":
         raise UsageError("--tilted requires --feed end")
 
 
 def _analysis(args):
-    scenario, T, modes, metrics = sweep_mod.analyze_point(
-        args.na, args.np_, args.f, args.feed, args.tilted)
-    beam = modes.beam(0) if args.beam == "pem" else nonpem_vector(
-        modes.beam(0))
-    return scenario, T, modes, metrics, beam
+    return sweep_mod.analyze_point(args.na, args.np_, args.f, args.feed,
+                                   args.tilted)
+
+
+def _beam(args):
+    """Propagation matrix and the selected feeder excitation."""
+    _, T, modes, _ = _analysis(args)
+    pem = modes.beam(0)
+    return T, pem if args.beam == "pem" else nonpem_vector(pem)
 
 
 def run(args):
     cmd = args.subcommand
     if cmd == "analyze":
-        scenario, _, modes, metrics, _ = _analysis(args)
+        scenario, _, modes, metrics = _analysis(args)
         write_mode_report(mode_report(modes, metrics, scenario), args.out)
     elif cmd == "table":
         records = sweep_mod.run_grid(args.na, args.np_list, args.f_list,
-                                     args.feed, args.tilted, args.beam)
+                                     args.feed, args.tilted)
         sweep_mod.write_table_csv(records, args.out)
     elif cmd == "pattern":
-        _, T, _, _, beam = _analysis(args)
+        T, beam = _beam(args)
         grid = default_grid(args.grid_step)
         if args.array == "amaf":
             curve = amaf_pattern(beam, grid)
@@ -185,7 +200,7 @@ def run(args):
             curve = ris_pattern(T, beam, grid)
         write_pattern_csv(curve, args.out)
     elif cmd == "profile":
-        _, T, _, _, beam = _analysis(args)
+        T, beam = _beam(args)
         write_profile_csv(ris_excitation(T, beam), args.out)
     elif cmd == "sweep-f":
         n_steps = int(round((args.f_max - args.f_min) / args.f_step))
@@ -204,14 +219,14 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(parser, args, argv)
+        args = _apply_config(args, argv)
         _validate(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
         return run(args)
-    except (ConvergenceError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,9 +1,8 @@
 """Eigenmode analysis of the propagation matrix.
 
-The SVD is obtained from the small Hermitian Gram matrix G = T^H T
-(feeder side, typically 4x4) with a cyclic complex Jacobi eigensolver:
-eigenvalues of G are the squared singular values, eigenvectors are the
-right singular vectors, and left vectors follow as T v / sigma. Global
+The SVD is one LAPACK call on T itself, which keeps the small singular
+values to full relative accuracy; squaring T into its Gram matrix would
+square the condition number. Left vectors follow as T v / sigma. Global
 phase of each right vector is fixed so its largest-magnitude entry is
 real and positive (lowest index on ties), which makes every downstream
 file reproducible bit for bit.
@@ -16,64 +15,6 @@ import numpy as np
 
 from .geometry import Scenario
 from .coupling import PropagationMatrix
-
-JACOBI_THRESHOLD = 1e-14   # times ||G||_F
-JACOBI_MAX_SWEEPS = 100
-
-
-class ConvergenceError(RuntimeError):
-    """Jacobi iteration failed to reach the off-diagonal threshold."""
-
-
-def jacobi_eigh(G, threshold=JACOBI_THRESHOLD, max_sweeps=JACOBI_MAX_SWEEPS):
-    """Eigen-decomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Returns (w, V) with G @ V = V @ diag(w), unsorted. The sweep stops
-    once every off-diagonal magnitude falls below threshold * ||G||_F.
-    """
-    G = np.asarray(G, dtype=complex)
-    n = G.shape[0]
-    if G.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if np.max(np.abs(G - G.conj().T)) > 1e-12 * max(1.0, np.linalg.norm(G)):
-        raise ValueError("matrix must be Hermitian")
-    A = G.copy()
-    V = np.eye(n, dtype=complex)
-    stop = threshold * np.linalg.norm(G)
-    if n == 1:
-        return A.real.diagonal().copy(), V
-    off = np.max(np.abs(A - np.diag(A.diagonal())))
-    if off <= stop:
-        return A.diagonal().real.copy(), V
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = A[p, q]
-                off = max(off, abs(g))
-                if abs(g) <= stop:
-                    continue
-                # phase rotation makes the pivot real, then a classical
-                # symmetric Jacobi rotation annihilates it
-                phase = g / abs(g)
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * abs(g))
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                if tau == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                J = np.eye(n, dtype=complex)
-                J[p, p] = c
-                J[p, q] = s * phase
-                J[q, p] = -s * phase.conjugate()
-                J[q, q] = c
-                A = J.conj().T @ A @ J
-                V = V @ J
-        if off <= stop:
-            return A.diagonal().real.copy(), V
-    raise ConvergenceError(
-        f"off-diagonal {off:.3e} above {stop:.3e} after "
-        f"{max_sweeps} sweeps")
 
 
 @dataclass(frozen=True)
@@ -130,20 +71,19 @@ def _fix_phase(v):
 
 
 def svd_modes(T: PropagationMatrix) -> ModeAnalysis:
-    """Singular values and vectors of T via the Gram-matrix route."""
+    """Singular values and vectors of T from one LAPACK SVD."""
     M = T.entries
     if M.size == 0:
         raise ValueError("empty propagation matrix")
-    G = M.conj().T @ M
-    w, V = jacobi_eigh(G)
-    order = np.argsort(-w, kind="stable")
-    w = np.maximum(w[order], 0.0)
-    V = V[:, order]
-    sigma = np.sqrt(w)
-    right = np.empty_like(V)
-    left = np.zeros((M.shape[0], M.shape[1]), dtype=complex)
-    for i in range(V.shape[1]):
-        v = _fix_phase(V[:, i].copy())
+    n_p, n_a = M.shape
+    # zero rows keep V^H at N_a x N_a when the surface is the smaller
+    # array, without the N_p x N_p U that full_matrices=True would build
+    padded = np.vstack([M, np.zeros((n_a - n_p, n_a))]) if n_p < n_a else M
+    _, sigma, Vh = np.linalg.svd(padded, full_matrices=False)
+    right = np.empty((n_a, n_a), dtype=complex)
+    left = np.zeros((n_p, n_a), dtype=complex)
+    for i in range(n_a):
+        v = _fix_phase(Vh[i].conj())
         right[:, i] = v
         if sigma[i] > 0:
             left[:, i] = (M @ v) / sigma[i]

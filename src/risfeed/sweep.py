@@ -3,7 +3,6 @@ with surface size, and exhaustive scans for the best feeder distance."""
 
 import csv
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -11,23 +10,22 @@ from .geometry import make_center_feed, make_end_feed
 from .coupling import build_T
 from .modes import (svd_modes, mode_metrics, power_transfer, nonpem_vector,
                     ModeMetrics)
-from .patterns import ris_pattern, ris_excitation, sidelobe_level
+from .patterns import (ris_pattern, ris_excitation, sidelobe_level,
+                       default_grid)
 
 OBJECTIVES = ("max_power", "min_sll", "min_profile_variation")
 
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Mode metrics for one (scenario, beam) grid point."""
+    """Mode metrics for one scenario grid point."""
 
     n_a: int
     n_p: int
     f: float
     feed: str
     tilted: bool
-    beam: str
     metrics: ModeMetrics
-    sidelobe_db: Optional[float] = None
 
 
 def _make_scenario(n_a, n_p, f, feed_style, tilted):
@@ -36,7 +34,7 @@ def _make_scenario(n_a, n_p, f, feed_style, tilted):
     return make_end_feed(n_a, n_p, f, tilted)
 
 
-def analyze_point(n_a, n_p, f, feed_style, tilted=False, beam="pem"):
+def analyze_point(n_a, n_p, f, feed_style, tilted=False):
     """Mode analysis plus metrics for one grid point."""
     scenario = _make_scenario(n_a, n_p, f, feed_style, tilted)
     T = build_T(scenario)
@@ -45,7 +43,7 @@ def analyze_point(n_a, n_p, f, feed_style, tilted=False, beam="pem"):
     return scenario, T, modes, metrics
 
 
-def run_grid(n_a, n_p_list, f_list, feed_style, tilted=False, beam="pem"):
+def run_grid(n_a, n_p_list, f_list, feed_style, tilted=False):
     """Evaluate the Cartesian (n_p, f) grid; records sorted by (n_p, f)."""
     if not n_p_list or not f_list:
         raise ValueError("n_p_list and f_list must be non-empty")
@@ -54,14 +52,14 @@ def run_grid(n_a, n_p_list, f_list, feed_style, tilted=False, beam="pem"):
         for f in f_list:
             try:
                 _, _, _, metrics = analyze_point(n_a, n_p, f, feed_style,
-                                                 tilted, beam)
+                                                 tilted)
             except Exception as exc:
                 raise RuntimeError(
                     f"grid point n_p={n_p} f={f} failed: {exc}") from exc
             records.append(SweepRecord(n_a=n_a, n_p=n_p, f=f,
                                        feed=feed_style, tilted=tilted,
-                                       beam=beam, metrics=metrics))
-    records.sort(key=lambda rec: (rec.n_p, rec.f, rec.feed))
+                                       metrics=metrics))
+    records.sort(key=lambda rec: (rec.n_p, rec.f))
     return records
 
 
@@ -97,15 +95,11 @@ def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
         raise ValueError("f range must be non-empty")
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    angles = None
-    if grid_step_deg is not None:
-        from .patterns import default_grid
-        angles = default_grid(grid_step_deg)
+    angles = None if grid_step_deg is None else default_grid(grid_step_deg)
     best_f, best_val = None, None
     trace = []
     for f in sorted(f_values):
-        scenario, T, modes, _ = analyze_point(n_a, n_p, f, feed_style, tilted,
-                                              beam)
+        _, T, modes, _ = analyze_point(n_a, n_p, f, feed_style, tilted)
         b = _beam_for(modes, beam)
         if objective == "max_power":
             val = power_transfer(T, b)
@@ -139,8 +133,8 @@ def write_table_csv(records, path):
         for i, rec in enumerate(records, start=1):
             m = rec.metrics
             sig = list(m.sigma_sq_db) + [float("nan")] * (4 - rec.n_a)
-            w.writerow([i, rec.n_a, rec.n_p, f"{rec.f:g}", rec.feed,
-                        rec.beam]
+            # the sigma columns describe the PEM: sigma_1^2 is its power
+            w.writerow([i, rec.n_a, rec.n_p, f"{rec.f:g}", rec.feed, "pem"]
                        + [f"{s:.6f}" for s in sig[:4]]
                        + [f"{m.sum_db:.6f}", f"{m.cond:.6f}",
                           f"{m.l_iso_db:.6f}", f"{m.f_over_d:.6f}"])

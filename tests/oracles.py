@@ -1,8 +1,8 @@
 """Independent brute-force oracles used only by the tests.
 
-These deliberately avoid the package's Gram-matrix eigensolver route:
-the SVD oracle is a one-sided Jacobi working directly on the rectangular
-matrix, and the sidelobe oracle is a dense scan of the sampled curve.
+These deliberately avoid the package's LAPACK call: the SVD oracle is a
+one-sided Jacobi working directly on the rectangular matrix, and the
+sidelobe oracle is a dense scan of the sampled curve.
 """
 
 import numpy as np
@@ -13,11 +13,15 @@ def one_sided_jacobi_svd(A, tol=1e-15, max_sweeps=60):
 
     Returns (U, s, V) with A ~ U @ diag(s) @ V.conj().T, singular values
     descending. Columns of A are rotated in pairs until all are mutually
-    orthogonal relative to tol.
+    orthogonal relative to tol. A pair with a column at rounding level of
+    ||A||_F is skipped: that column is numerically zero (as n - m columns
+    of a wide A end up), and its pair's rotation phase gamma / |gamma|
+    would overflow to NaN.
     """
     A = np.asarray(A, dtype=complex).copy()
     m, n = A.shape
     V = np.eye(n, dtype=complex)
+    negligible = (np.finfo(float).eps * np.linalg.norm(A)) ** 2
     for _ in range(max_sweeps):
         converged = True
         for p in range(n - 1):
@@ -26,7 +30,8 @@ def one_sided_jacobi_svd(A, tol=1e-15, max_sweeps=60):
                 alpha = np.vdot(ap, ap).real
                 beta = np.vdot(aq, aq).real
                 gamma = np.vdot(ap, aq)
-                if abs(gamma) <= tol * np.sqrt(alpha * beta):
+                if (min(alpha, beta) <= negligible
+                        or abs(gamma) <= tol * np.sqrt(alpha * beta)):
                     continue
                 converged = False
                 phase = gamma / abs(gamma)

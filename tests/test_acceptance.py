@@ -285,7 +285,7 @@ def test_criterion_7_property_suite():
         worst = max(worst, float(np.max(np.abs(sig - sig_oracle)
                                         / sig_oracle)))
     check(failures, worst < 1e-9,
-          f"Gram-Jacobi vs one-sided oracle ({worst:.2e})")
+          f"LAPACK SVD vs one-sided oracle ({worst:.2e})")
     finish("criterion 7: property suite", failures)
 
 

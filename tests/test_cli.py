@@ -23,10 +23,29 @@ class TestUsageErrors:
         assert rc == 1
 
     def test_out_of_range_value(self, capsys, tmp_path):
-        rc = run_cli("analyze", "--na", "0", "--np", "8", "--f", "8",
-                     "--out", str(tmp_path / "o.json"))
-        assert rc == 1
-        assert "--na" in capsys.readouterr().err
+        scen = ("--na", "4", "--np", "8", "--f", "8")
+        sweep = ("sweep-f", "--np", "8", "--f-min", "4", "--f-max", "16")
+        cases = [
+            (("analyze", "--na", "0", "--np", "8", "--f", "8"), "--na"),
+            (("analyze", "--na", "4", "--np", "8", "--f", "nan"), "--f"),
+            (("table", "--np", "8", "--f", "4,inf"), "--f"),
+            (("pattern",) + scen + ("--grid-step", "0"), "--grid-step"),
+            (("pattern",) + scen + ("--grid-step", "-0.5"), "--grid-step"),
+            (("pattern",) + scen + ("--grid-step", "nan"), "--grid-step"),
+            # 1.8e11 angles: rejected before any grid is allocated
+            (("pattern",) + scen + ("--grid-step", "1e-9"), "--grid-step"),
+            (sweep + ("--f-step", "0"), "--f-step"),
+            (sweep + ("--f-step", "-1"), "--f-step"),
+            (sweep + ("--f-step", "inf"), "--f-step"),
+            (sweep + ("--f-step", "1e-12"), "--f-step"),
+            (("sweep-f", "--np", "8", "--f-min", "nan", "--f-max", "16"),
+             "--f-min"),
+        ]
+        out = tmp_path / "o"
+        for argv, flag in cases:
+            assert run_cli(*argv, "--out", str(out)) == 1, argv
+            assert flag in capsys.readouterr().err
+            assert not out.exists()
 
     def test_tilted_requires_end_feed(self, capsys, tmp_path):
         rc = run_cli("analyze", "--na", "4", "--np", "8", "--f", "8",
@@ -54,8 +73,7 @@ class TestAnalyze:
     def test_end_feed_scenario(self, tmp_path):
         out = tmp_path / "report.json"
         rc = run_cli("analyze", "--na", "4", "--np", "128", "--f", "80",
-                     "--feed", "end", "--tilted", "--beam", "pem",
-                     "--out", str(out))
+                     "--feed", "end", "--tilted", "--out", str(out))
         assert rc == 0
         rep = json.loads(out.read_text())
         assert rep["scenario"]["tilted"] is True
