@@ -25,6 +25,9 @@ from .patterns import (amaf_pattern, ris_pattern, ris_excitation,
 
 # most angle or f samples one command may scan: 0.005 deg over [-90, 90]
 MAX_GRID_POINTS = 36001
+# most elements in either array; a pattern on the finest grid then needs
+# a 36001 x 1024 complex steering matrix (590 MB)
+MAX_ARRAY_SIZE = 1024
 
 
 class UsageError(Exception):
@@ -112,31 +115,39 @@ def _build_parser():
     return p
 
 
-def _apply_config(args, argv):
-    """Fill unset flags from a JSON config file; CLI flags win."""
-    if not getattr(args, "config", None):
-        return args
+def _config_tokens(path):
+    """Flags from a JSON config file as --key=value argv tokens."""
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"bad config file {args.config}: {exc}")
+        raise UsageError(f"bad config file {path}: {exc}")
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
-    known = set(vars(args)) | {"np", "f"}
-    for key in cfg:
-        if key.replace("-", "_") not in known:
-            raise UsageError(f"unknown config key {key!r}")
-    explicit = {a.lstrip("-").split("=")[0].replace("-", "_")
-                for a in argv if a.startswith("--")}
+    tokens = []
     for key, value in cfg.items():
-        if key in explicit or key.replace("-", "_") in explicit:
-            continue
-        dest = {"np": "np_" if hasattr(args, "np_") else "np_list",
-                "f": "f" if hasattr(args, "f") else "f_list"}.get(
-                    key, key.replace("-", "_"))
-        setattr(args, dest, value)
-    return args
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):     # a switch such as --tilted
+            tokens += [flag] if value else []
+        elif isinstance(value, list):   # a comma list such as table's --np
+            tokens.append(f"{flag}={','.join(map(str, value))}")
+        else:
+            tokens.append(f"{flag}={value}")
+    return tokens
+
+
+def _parse(parser, argv):
+    """Parse argv; --config values go in ahead of the command-line flags,
+    so they get the same conversion and the command line wins."""
+    args = parser.parse_args(argv)
+    if not getattr(args, "config", None):
+        return args
+    i = argv.index(args.subcommand) + 1
+    tokens = _config_tokens(args.config)
+    try:
+        return parser.parse_args(argv[:i] + tokens + argv[i:])
+    except UsageError as exc:
+        raise UsageError(f"config file {args.config}: {exc}")
 
 
 def _validate(args):
@@ -148,9 +159,13 @@ def _validate(args):
         if getattr(args, name, None) is None:
             raise UsageError(
                 f"missing required parameter {flag.get(name, '--' + name.replace('_', '-'))}")
-    for name in ("na", "np_"):
-        if hasattr(args, name) and getattr(args, name) < 1:
-            raise UsageError(f"--{name.rstrip('_')} must be >= 1")
+    for name in ("na", "np_", "np_list"):
+        value = getattr(args, name, None)
+        values = value if isinstance(value, list) else [value]
+        if value is not None and not all(
+                1 <= v <= MAX_ARRAY_SIZE for v in values):
+            flag = name.replace("_list", "").rstrip("_")
+            raise UsageError(f"--{flag} must be from 1 to {MAX_ARRAY_SIZE}")
     for name in ("f", "f_list", "f_min", "f_max", "f_step", "grid_step"):
         value = getattr(args, name, None)
         values = value if isinstance(value, list) else [value]
@@ -218,8 +233,7 @@ def main(argv=None):
         argv = sys.argv[1:]
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config(args, argv)
+        args = _parse(parser, argv)
         _validate(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,10 +2,10 @@
 
 The SVD is one LAPACK call on T itself, which keeps the small singular
 values to full relative accuracy; squaring T into its Gram matrix would
-square the condition number. Left vectors follow as T v / sigma. Global
-phase of each right vector is fixed so its largest-magnitude entry is
-real and positive (lowest index on ties), which makes every downstream
-file reproducible bit for bit.
+square the condition number. Global phase of each right vector is fixed
+so its largest-magnitude entry is real and positive (lowest index on
+ties), which makes every downstream file reproducible bit for bit; its
+left vector, the U column of the same call, takes the same phase.
 """
 
 import json
@@ -37,7 +37,8 @@ class ModeAnalysis:
 
     sigma:         (N_a,) singular values, descending.
     right_vectors: (N_a, N_a), column i is v_i.
-    left_vectors:  (N_p, N_a), column i is T v_i / sigma_i.
+    left_vectors:  (N_p, N_a), column i is u_i = T v_i / sigma_i
+                   (orthonormal; zero where sigma_i = 0).
     """
 
     sigma: np.ndarray
@@ -62,12 +63,13 @@ class ModeMetrics:
 
 
 def _fix_phase(v):
+    """v rotated so its largest entry is real positive, and the factor."""
     k = int(np.argmax(np.abs(v)))
     pivot = v[k]
-    if pivot != 0:
-        v = v * (pivot.conjugate() / abs(pivot))
+    factor = pivot.conjugate() / abs(pivot) if pivot != 0 else 1.0
+    v = v * factor
     v[k] = abs(v[k])    # force exactly real positive
-    return v
+    return v, factor
 
 
 def svd_modes(T: PropagationMatrix) -> ModeAnalysis:
@@ -79,14 +81,13 @@ def svd_modes(T: PropagationMatrix) -> ModeAnalysis:
     # zero rows keep V^H at N_a x N_a when the surface is the smaller
     # array, without the N_p x N_p U that full_matrices=True would build
     padded = np.vstack([M, np.zeros((n_a - n_p, n_a))]) if n_p < n_a else M
-    _, sigma, Vh = np.linalg.svd(padded, full_matrices=False)
+    U, sigma, Vh = np.linalg.svd(padded, full_matrices=False)
     right = np.empty((n_a, n_a), dtype=complex)
     left = np.zeros((n_p, n_a), dtype=complex)
     for i in range(n_a):
-        v = _fix_phase(Vh[i].conj())
-        right[:, i] = v
+        right[:, i], factor = _fix_phase(Vh[i].conj())
         if sigma[i] > 0:
-            left[:, i] = (M @ v) / sigma[i]
+            left[:, i] = U[:n_p, i] * factor
     return ModeAnalysis(sigma=sigma, right_vectors=right, left_vectors=left)
 
 

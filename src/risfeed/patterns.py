@@ -46,10 +46,13 @@ class ExcitationProfile:
 
 
 def steering_vector(n, theta):
-    """Conjugated uniform-array steering vector for angle theta (radians)."""
+    """Conjugated uniform-array steering vector for angle theta (radians).
+
+    An array of angles gives one row per angle.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return np.exp(-1j * np.pi * np.arange(n) * np.sin(theta))
+    return np.exp(-1j * np.pi * np.multiply.outer(np.sin(theta), np.arange(n)))
 
 
 def _curve_from_power(angles_deg, power_lin):
@@ -64,15 +67,26 @@ def _curve_from_power(angles_deg, power_lin):
                         peak_dbi=float(peak))
 
 
+# The last (n, theta, steering rows, element gain) built: a sweep draws
+# every curve on one grid, so each later curve costs one matrix-vector
+# product. One entry bounds the memory (7.4 MB at n=128 on the default
+# grid); the cell's tuple is replaced whole, never edited.
+_steering = [(0, np.empty(0), np.empty((0, 0), dtype=complex), np.empty(0))]
+
+
 def _array_pattern(weights, angles_deg):
     """|sum_k w_k exp(-j pi k sin(theta))|^2 * E(theta) per grid angle."""
     theta = np.radians(np.asarray(angles_deg, dtype=float))
     if theta.size == 0:
         raise ValueError("empty angle grid")
-    k = np.arange(len(weights))
-    phases = np.exp(-1j * np.pi * np.outer(np.sin(theta), k))
-    af = np.abs(phases @ weights) ** 2
-    return af * element_gain(theta)
+    n, memo_theta, rows, gain = _steering[0]
+    # keyed by value: theta is a fresh array, so no caller can mutate the
+    # key, and array ids are reused after garbage collection
+    if n != len(weights) or not np.array_equal(memo_theta, theta):
+        n = len(weights)
+        rows, gain = steering_vector(n, theta), element_gain(theta)
+        _steering[0] = (n, theta, rows, gain)
+    return np.abs(rows @ weights) ** 2 * gain
 
 
 def amaf_pattern(b: BeamVector, angles_deg=None) -> PatternCurve:
@@ -128,12 +142,12 @@ def sidelobe_level(curve: PatternCurve):
     if n < 3:
         raise ValueError("curve needs at least 3 samples")
     k = int(np.argmax(y))
-    lo = k
-    while lo > 0 and y[lo - 1] <= y[lo]:
-        lo -= 1
-    hi = k
-    while hi < n - 1 and y[hi + 1] <= y[hi]:
-        hi += 1
+    # the lobe runs down to the last j < k with y[j] > y[j+1] and up to
+    # the first j >= k with y[j+1] > y[j]; ties (<=) stay in the lobe
+    stops = np.flatnonzero(~(y[:k] <= y[1:k + 1]))
+    lo = int(stops[-1]) + 1 if stops.size else 0
+    stops = np.flatnonzero(~(y[k + 1:] <= y[k:-1]))
+    hi = k + int(stops[0]) if stops.size else n - 1
     outside = np.concatenate([y[:lo], y[hi + 1:]])
     if outside.size == 0:
         return None

@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's LAPACK call: the SVD oracle is a
 one-sided Jacobi working directly on the rectangular matrix, and the
-sidelobe oracle is a dense scan of the sampled curve.
+sidelobe oracle walks the sampled curve one sample at a time, the loop
+that the package's array comparisons replaced.
 """
 
 import numpy as np

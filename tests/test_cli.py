@@ -40,6 +40,14 @@ class TestUsageErrors:
             (sweep + ("--f-step", "1e-12"), "--f-step"),
             (("sweep-f", "--np", "8", "--f-min", "nan", "--f-max", "16"),
              "--f-min"),
+            # a 2e6-element surface pattern would allocate 53.7 GiB
+            (("pattern", "--array", "ris", "--na", "4", "--np", "2000000",
+              "--f", "8"), "--np"),
+            (("analyze", "--na", "1025", "--np", "8", "--f", "8"), "--na"),
+            (("table", "--np", "8,1025", "--f", "4"), "--np"),
+            (("table", "--np", "0,8", "--f", "4"), "--np"),
+            (("sweep-f", "--np", "5000", "--f-min", "4", "--f-max", "16"),
+             "--np"),
         ]
         out = tmp_path / "o"
         for argv, flag in cases:
@@ -178,6 +186,39 @@ class TestConfigFile:
                      "--out", str(tmp_path / "o.json"))
         assert rc == 1
         assert "mode" in capsys.readouterr().err
+
+    def test_config_values_typed_like_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "o.json"
+        cfg.write_text(json.dumps({"na": 4, "np": 8, "f": "8"}))
+        assert run_cli("analyze", "--config", str(cfg),
+                       "--out", str(out)) == 0
+        assert json.loads(out.read_text())["scenario"]["f"] == 8.0
+        out.unlink()
+        for bad, key in [({"na": 4, "np": 8, "f": "eight"}, "--f"),
+                         ({"na": "four", "np": 8, "f": 8}, "--na"),
+                         ({"na": 4, "np": 8.5, "f": 8}, "--np"),
+                         ({"na": 4, "np": 8, "f": 8, "feed": "side"},
+                          "--feed"),
+                         ({"na": 4, "np": 8, "f": 8, "tilted": "yes"},
+                          "--tilted")]:
+            cfg.write_text(json.dumps(bad))
+            assert run_cli("analyze", "--config", str(cfg),
+                           "--out", str(out)) == 1, bad
+            assert key in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_config_lists_and_switches(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"na": 4, "np": [8, 16], "f": "4,8",
+                                   "feed": "end", "tilted": True}))
+        via_cfg, via_flags = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("table", "--config", str(cfg),
+                       "--out", str(via_cfg)) == 0
+        assert run_cli("table", "--na", "4", "--np", "8,16", "--f", "4,8",
+                       "--feed", "end", "--tilted",
+                       "--out", str(via_flags)) == 0
+        assert filecmp.cmp(via_cfg, via_flags, shallow=False)
 
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

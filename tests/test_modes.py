@@ -80,6 +80,18 @@ class TestSvdModes:
         err = np.linalg.norm(T.entries - approx) / np.linalg.norm(T.entries)
         assert err < 1e-10
 
+    # sigma down to 6e-12 sigma_1, and a wide T with exact zeros
+    @pytest.mark.parametrize("n_a,n_p,f", [(16, 64, 120), (16, 8, 120)])
+    def test_left_vectors_orthonormal(self, n_a, n_p, f):
+        _, T, m = modes_for(n_a, n_p, f)
+        live = m.sigma > 0
+        L = m.left_vectors[:, live]
+        assert np.max(np.abs(L.conj().T @ L - np.eye(L.shape[1]))) < 1e-12
+        assert np.all(m.left_vectors[:, ~live] == 0)
+        approx = (m.left_vectors * m.sigma) @ m.right_vectors.conj().T
+        err = np.linalg.norm(T.entries - approx) / np.linalg.norm(T.entries)
+        assert err < 1e-14
+
     def test_sigma_descending(self):
         _, _, m = modes_for(4, 32, 80)
         assert np.all(np.diff(m.sigma) <= 0)

@@ -8,6 +8,7 @@ from risfeed.patterns import (PatternCurve, steering_vector, amaf_pattern,
                               ris_excitation, ris_pattern, sidelobe_level,
                               default_grid, write_pattern_csv,
                               write_profile_csv)
+from risfeed.sweep import optimize_f
 
 from oracles import brute_force_sidelobe
 
@@ -34,6 +35,55 @@ class TestSteeringVector:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             steering_vector(0, 0.0)
+
+    def test_angle_array_gives_one_row_per_angle(self):
+        theta = np.radians(default_grid(0.5))
+        rows = steering_vector(16, theta)
+        assert rows.shape == (theta.size, 16)
+        assert np.array_equal(rows,
+                              np.stack([steering_vector(16, t)
+                                        for t in theta]))
+
+
+class TestSteeringReuse:
+    """Patterns reuse the last steering matrix built; every curve must be
+    bit for bit the one a fresh build gives."""
+
+    def test_interleaved_calls_match_first_calls(self):
+        T, m = end_feed_setup(32, 16.0)
+        b = m.beam(0)
+        grid = default_grid(0.5)
+        shifted = grid + 0.25    # same length, other angles
+        first = {}
+        calls = [("amaf", grid), ("ris", grid), ("amaf", shifted),
+                 ("ris", shifted), ("amaf", grid), ("ris", grid)]
+        for _ in range(2):
+            for kind, g in calls:
+                curve = (amaf_pattern(b, g) if kind == "amaf"
+                         else ris_pattern(T, b, g))
+                key = (kind, g[0])
+                first.setdefault(key, curve.power_dbi)
+                assert np.array_equal(curve.power_dbi, first[key]), key
+
+    def test_caller_mutating_its_grid(self):
+        b = BeamVector(np.array([0.6, 0.0, 0.8j, 0.0], dtype=complex))
+        grid = default_grid(0.5)
+        expected = amaf_pattern(b, grid + 1.0).power_dbi
+        before = amaf_pattern(b, grid).power_dbi
+        grid += 1.0      # in place, after the call
+        assert np.array_equal(amaf_pattern(b, grid).power_dbi, expected)
+        grid -= 1.0
+        assert np.array_equal(amaf_pattern(b, grid).power_dbi, before)
+
+    def test_optimize_f_trace_matches_fresh_patterns(self):
+        f_values = [100.0, 110.0, 120.0]
+        _, trace = optimize_f(4, 128, "end", True, "nonpem", f_values)
+        coarse = default_grid(1.0)
+        for f, val in trace:
+            T, m = end_feed_setup(128, f)
+            b = nonpem_vector(m.beam(0))
+            amaf_pattern(b, coarse)     # leave another grid behind
+            assert sidelobe_level(ris_pattern(T, b)) == val
 
 
 class TestAmafPattern:
@@ -218,6 +268,25 @@ class TestSidelobeLevel:
             assert ref is None
         else:
             assert got == pytest.approx(ref, abs=0.05)
+
+    def test_matches_walk_on_plateaus_and_ties(self):
+        rng = np.random.default_rng(17)
+        nones = 0
+        for trial in range(3000):
+            n = int(rng.integers(3, 40))
+            if trial % 2:
+                y = rng.integers(0, 4, n).astype(float)   # plateaus, ties
+            else:
+                y = np.round(rng.standard_normal(n), 1)
+            y -= y.max()
+            curve = PatternCurve(angles_deg=np.arange(n, dtype=float),
+                                 power_dbi=y, power_norm_db=y,
+                                 peak_angle_deg=0.0, peak_dbi=0.0)
+            got = sidelobe_level(curve)
+            ref = brute_force_sidelobe(curve.angles_deg, y)
+            assert got == ref, (y, got, ref)
+            nones += got is None
+        assert 0 < nones < 3000
 
     def test_requires_three_samples(self):
         curve = PatternCurve(angles_deg=np.array([0.0, 1.0]),
