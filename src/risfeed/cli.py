@@ -39,18 +39,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_list(text):
-    try:
-        return [int(x) for x in text.split(",") if x]
-    except ValueError:
-        raise UsageError(f"bad integer list: {text!r}")
+def _list_of(kind, what):
+    """argparse type for a non-empty comma list; errors name the flag."""
+    def parse(text):
+        try:
+            values = [kind(x) for x in text.split(",") if x]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what} list: {text!r}")
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty {what} list")
+        return values
+    return parse
 
 
-def _float_list(text):
-    try:
-        return [float(x) for x in text.split(",") if x]
-    except ValueError:
-        raise UsageError(f"bad number list: {text!r}")
+_int_list = _list_of(int, "integer")
+_float_list = _list_of(float, "number")
 
 
 def _build_parser():
@@ -177,6 +180,8 @@ def _validate(args):
             MAX_GRID_POINTS - 1):
         raise UsageError(f"--grid-step gives more than {MAX_GRID_POINTS} "
                          f"angles")
+    if args.subcommand == "sweep-f" and args.f_min > args.f_max:
+        raise UsageError("--f-min must not exceed --f-max")
     if args.subcommand == "sweep-f" and (
             args.f_max - args.f_min) / args.f_step > MAX_GRID_POINTS - 1:
         raise UsageError(f"--f-step gives more than {MAX_GRID_POINTS} "

@@ -10,8 +10,8 @@ element boresight and phi the arrival angle from the surface element
 boresight.
 """
 
-import csv
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -56,18 +56,21 @@ class PropagationMatrix:
         return self.entries.shape[1]
 
 
-def _pair_geometry(scenario):
-    """Distances and unsigned angles for every element pair.
+def _pair_geometry(scenario, ris=slice(None), amaf=slice(None)):
+    """Distances and unsigned angles between the surface elements `ris`
+    and the feeder elements `amaf` (slices; every pair by default).
 
-    Returns (r, theta, phi), each shaped (N_p, N_a).
+    Returns (r, theta, phi), each shaped (surface, feeder) elements.
     """
-    apos = scenario.amaf.positions      # (N_a, 2)
-    rpos = scenario.ris.positions       # (N_p, 2)
+    apos = scenario.amaf.positions[amaf]    # (N_a, 2)
+    rpos = scenario.ris.positions[ris]      # (N_p, 2)
     d = rpos[:, None, :] - apos[None, :, :]     # feeder -> surface
     r = np.linalg.norm(d, axis=2)
     if np.any(r == 0.0):
         n, m = np.argwhere(r == 0.0)[0]
-        raise ValueError(f"coincident elements: surface {n}, feeder {m}")
+        raise ValueError(f"coincident elements: "
+                         f"surface {range(scenario.n_p)[ris][n]}, "
+                         f"feeder {range(scenario.n_a)[amaf][m]}")
     cos_theta = (d @ scenario.amaf.boresight) / r
     cos_phi = (-d @ scenario.ris.boresight) / r
     theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
@@ -81,10 +84,11 @@ def coupling_terms(amaf_element, ris_element, scenario):
         raise IndexError(f"feeder element {amaf_element} out of range")
     if not 0 <= ris_element < scenario.n_p:
         raise IndexError(f"surface element {ris_element} out of range")
-    r, theta, phi = _pair_geometry(scenario)
     n, m = ris_element, amaf_element
-    return CouplingTerms(r=float(r[n, m]), theta=float(theta[n, m]),
-                         phi=float(phi[n, m]))
+    r, theta, phi = _pair_geometry(scenario, slice(n, n + 1),
+                                   slice(m, m + 1))
+    return CouplingTerms(r=float(r[0, 0]), theta=float(theta[0, 0]),
+                         phi=float(phi[0, 0]))
 
 
 def build_T(scenario):
@@ -95,17 +99,29 @@ def build_T(scenario):
     return PropagationMatrix(entries=entries, scenario=scenario)
 
 
+def _write_csv(path, header, row_format, columns):
+    """Write a header line and one row per index of the columns.
+
+    row_format is a %-template for one row; every cell is formatted by
+    one % on the template repeated once per row, and the file is one
+    write. Rows end in CRLF and no field is quoted, as csv.writer's
+    defaults give for fields without commas, quotes or line breaks.
+    """
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c
+               for c in columns]
+    cells = tuple(chain.from_iterable(zip(*columns)))
+    rows = len(cells) // len(columns) if columns else 0
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n"
+                 + (row_format + "\r\n") * rows % cells)
+
+
 def write_matrix_csv(T, path):
     """Dump matrix entries with their pair geometry, for regression use."""
     r, theta, phi = _pair_geometry(T.scenario)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "m", "re", "im", "r", "theta_deg", "phi_deg"])
-        for n in range(T.n_p):
-            for m in range(T.n_a):
-                w.writerow([n, m,
-                            f"{T.entries[n, m].real:.12e}",
-                            f"{T.entries[n, m].imag:.12e}",
-                            f"{r[n, m]:.12e}",
-                            f"{np.degrees(theta[n, m]):.9f}",
-                            f"{np.degrees(phi[n, m]):.9f}"])
+    n, m = np.indices(T.entries.shape)
+    _write_csv(path, ["n", "m", "re", "im", "r", "theta_deg", "phi_deg"],
+               "%d,%d,%.12e,%.12e,%.12e,%.9f,%.9f",
+               [n.ravel(), m.ravel(), T.entries.real.ravel(),
+                T.entries.imag.ravel(), r.ravel(),
+                np.degrees(theta).ravel(), np.degrees(phi).ravel()])

@@ -8,12 +8,11 @@ matrix; a beam focused on a target therefore peaks at the target's
 physical angle.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import PropagationMatrix, element_gain
+from .coupling import PropagationMatrix, _write_csv, element_gain
 from .modes import BeamVector
 
 DEFAULT_GRID_STEP_DEG = 0.05
@@ -94,7 +93,7 @@ def amaf_pattern(b: BeamVector, angles_deg=None) -> PatternCurve:
     if angles_deg is None:
         angles_deg = default_grid()
     power = _array_pattern(b.weights, angles_deg)
-    return _curve_from_power(np.asarray(angles_deg, dtype=float), power)
+    return _curve_from_power(np.array(angles_deg, dtype=float), power)
 
 
 def ris_excitation(T: PropagationMatrix, b: BeamVector) -> ExcitationProfile:
@@ -127,7 +126,7 @@ def ris_pattern(T: PropagationMatrix, b: BeamVector, angles_deg=None,
     if not np.any(np.abs(x) > 0):
         raise ValueError("all-zero surface excitation")
     power = _array_pattern(x, angles_deg)
-    return _curve_from_power(np.asarray(angles_deg, dtype=float), power)
+    return _curve_from_power(np.array(angles_deg, dtype=float), power)
 
 
 def sidelobe_level(curve: PatternCurve):
@@ -155,18 +154,14 @@ def sidelobe_level(curve: PatternCurve):
 
 
 def write_pattern_csv(curve: PatternCurve, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["angle_deg", "power_dbi", "power_norm_db"])
-        for a, p, pn in zip(curve.angles_deg, curve.power_dbi,
-                            curve.power_norm_db):
-            w.writerow([f"{a:.6f}", f"{p:.6f}", f"{pn:.6f}"])
+    _write_csv(path, ["angle_deg", "power_dbi", "power_norm_db"],
+               "%.6f,%.6f,%.6f",
+               [curve.angles_deg, curve.power_dbi, curve.power_norm_db])
 
 
 def write_profile_csv(profile: ExcitationProfile, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["element_index", "magnitude", "magnitude_db"])
-        for i, m in zip(profile.element_index, profile.magnitudes):
-            m_db = 20.0 * np.log10(max(m, 1e-300))
-            w.writerow([int(i), f"{m:.12e}", f"{m_db:.6f}"])
+    m = profile.magnitudes
+    _write_csv(path, ["element_index", "magnitude", "magnitude_db"],
+               "%d,%.12e,%.6f",
+               [profile.element_index, m,
+                20.0 * np.log10(np.maximum(m, 1e-300))])

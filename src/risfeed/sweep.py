@@ -1,13 +1,12 @@
 """Grid sweeps over feed scenarios: power-transfer tables, convergence
 with surface size, and exhaustive scans for the best feeder distance."""
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import make_center_feed, make_end_feed
-from .coupling import build_T
+from .coupling import _write_csv, build_T
 from .modes import (svd_modes, mode_metrics, power_transfer, nonpem_vector,
                     ModeMetrics)
 from .patterns import (ris_pattern, ris_excitation, sidelobe_level,
@@ -125,27 +124,22 @@ def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
 
 def write_table_csv(records, path):
     """Emit sweep records in the fixed table layout, 6 decimal places."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sl_no", "n_a", "n_p", "f", "feed", "beam",
-                    "sigma1_db", "sigma2_db", "sigma3_db", "sigma4_db",
-                    "sum_db", "cond", "l_iso_db", "f_over_d"])
-        for i, rec in enumerate(records, start=1):
-            m = rec.metrics
-            sig = list(m.sigma_sq_db) + [float("nan")] * (4 - rec.n_a)
-            # the sigma columns describe the PEM: sigma_1^2 is its power
-            w.writerow([i, rec.n_a, rec.n_p, f"{rec.f:g}", rec.feed, "pem"]
-                       + [f"{s:.6f}" for s in sig[:4]]
-                       + [f"{m.sum_db:.6f}", f"{m.cond:.6f}",
-                          f"{m.l_iso_db:.6f}", f"{m.f_over_d:.6f}"])
+    rows = []
+    for i, rec in enumerate(records, start=1):
+        m = rec.metrics
+        sig = list(m.sigma_sq_db) + [float("nan")] * (4 - rec.n_a)
+        # the sigma columns describe the PEM: sigma_1^2 is its power
+        rows.append([i, rec.n_a, rec.n_p, rec.f, rec.feed] + sig[:4]
+                    + [m.sum_db, m.cond, m.l_iso_db, m.f_over_d])
+    _write_csv(path, ["sl_no", "n_a", "n_p", "f", "feed", "beam",
+                      "sigma1_db", "sigma2_db", "sigma3_db", "sigma4_db",
+                      "sum_db", "cond", "l_iso_db", "f_over_d"],
+               "%s,%s,%s,%g,%s,pem" + ",%.6f" * 8, zip(*rows))
 
 
 def write_trace_csv(trace, best_f, objective, path):
     """Emit an optimization trace for audit."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["f", objective, "is_best"])
-        for f, val in trace:
-            w.writerow([f"{f:g}",
-                        "" if val is None else f"{val:.9e}",
-                        int(f == best_f)])
+    _write_csv(path, ["f", objective, "is_best"], "%g,%s,%d",
+               [[f for f, _ in trace],
+                ["" if val is None else "%.9e" % val for _, val in trace],
+                [f == best_f for f, _ in trace]])

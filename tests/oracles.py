@@ -3,10 +3,16 @@
 These deliberately avoid the package's LAPACK call: the SVD oracle is a
 one-sided Jacobi working directly on the rectangular matrix, and the
 sidelobe oracle walks the sampled curve one sample at a time, the loop
-that the package's array comparisons replaced.
+that the package's array comparisons replaced. The CSV writers below
+are the package's former per-row csv.writer bodies, the byte-for-byte
+reference for its block-formatted writers.
 """
 
+import csv
+
 import numpy as np
+
+from risfeed.coupling import _pair_geometry
 
 
 def one_sided_jacobi_svd(A, tol=1e-15, max_sweeps=60):
@@ -77,3 +83,61 @@ def brute_force_sidelobe(angles_deg, power_db):
     if outside.size == 0:
         return None
     return float(outside.max() - y[k])
+
+
+def csv_write_pattern(curve, path):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["angle_deg", "power_dbi", "power_norm_db"])
+        for a, p, pn in zip(curve.angles_deg, curve.power_dbi,
+                            curve.power_norm_db):
+            w.writerow([f"{a:.6f}", f"{p:.6f}", f"{pn:.6f}"])
+
+
+def csv_write_profile(profile, path):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["element_index", "magnitude", "magnitude_db"])
+        for i, m in zip(profile.element_index, profile.magnitudes):
+            m_db = 20.0 * np.log10(max(m, 1e-300))
+            w.writerow([int(i), f"{m:.12e}", f"{m_db:.6f}"])
+
+
+def csv_write_table(records, path):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["sl_no", "n_a", "n_p", "f", "feed", "beam",
+                    "sigma1_db", "sigma2_db", "sigma3_db", "sigma4_db",
+                    "sum_db", "cond", "l_iso_db", "f_over_d"])
+        for i, rec in enumerate(records, start=1):
+            m = rec.metrics
+            sig = list(m.sigma_sq_db) + [float("nan")] * (4 - rec.n_a)
+            w.writerow([i, rec.n_a, rec.n_p, f"{rec.f:g}", rec.feed, "pem"]
+                       + [f"{s:.6f}" for s in sig[:4]]
+                       + [f"{m.sum_db:.6f}", f"{m.cond:.6f}",
+                          f"{m.l_iso_db:.6f}", f"{m.f_over_d:.6f}"])
+
+
+def csv_write_trace(trace, best_f, objective, path):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["f", objective, "is_best"])
+        for f, val in trace:
+            w.writerow([f"{f:g}",
+                        "" if val is None else f"{val:.9e}",
+                        int(f == best_f)])
+
+
+def csv_write_matrix(T, path):
+    r, theta, phi = _pair_geometry(T.scenario)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["n", "m", "re", "im", "r", "theta_deg", "phi_deg"])
+        for n in range(T.n_p):
+            for m in range(T.n_a):
+                w.writerow([n, m,
+                            f"{T.entries[n, m].real:.12e}",
+                            f"{T.entries[n, m].imag:.12e}",
+                            f"{r[n, m]:.12e}",
+                            f"{np.degrees(theta[n, m]):.9f}",
+                            f"{np.degrees(phi[n, m]):.9f}"])

@@ -48,6 +48,10 @@ class TestUsageErrors:
             (("table", "--np", "0,8", "--f", "4"), "--np"),
             (("sweep-f", "--np", "5000", "--f-min", "4", "--f-max", "16"),
              "--np"),
+            (("table", "--np", ",", "--f", "4"), "--np"),
+            (("table", "--np", "8", "--f", ","), "--f"),
+            (("sweep-f", "--np", "16", "--f-min", "10", "--f-max", "5"),
+             "--f-min"),
         ]
         out = tmp_path / "o"
         for argv, flag in cases:
@@ -66,6 +70,28 @@ class TestUsageErrors:
                      "--out", str(tmp_path / "o.json"))
         assert rc in (1, 2)
         assert (tmp_path / "o.json").exists() is False
+
+
+# the CLI examples of the README
+README_COMMANDS = [
+    "analyze --na 4 --np 8 --f 8 --feed center",
+    "table --na 4 --np 8,16,32 --f 4,8,40,80,120 --feed center",
+    "pattern --na 4 --np 128 --f 110 --feed end --tilted --beam nonpem",
+    "pattern --array ris --na 4 --np 128 --f 80 --feed center",
+    "profile --na 4 --np 128 --f 110 --feed end --tilted --beam nonpem",
+    "sweep-f --np 128 --feed end --tilted --beam nonpem --f-min 60 "
+    "--f-max 140 --f-step 1 --objective min_sll",
+]
+
+
+@pytest.mark.parametrize("command", README_COMMANDS,
+                         ids=[c.split()[0] + str(i)
+                              for i, c in enumerate(README_COMMANDS)])
+def test_readme_command_reruns_byte_identical(tmp_path, command):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(*command.split(), "--out", str(a)) == 0
+    assert run_cli(*command.split(), "--out", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 class TestAnalyze:

@@ -75,6 +75,19 @@ class TestSteeringReuse:
         grid -= 1.0
         assert np.array_equal(amaf_pattern(b, grid).power_dbi, before)
 
+    def test_curve_owns_its_angles(self):
+        T, m = end_feed_setup(32, 16.0)
+        b = m.beam(0)
+        for pattern in (lambda g: amaf_pattern(b, g),
+                        lambda g: ris_pattern(T, b, g)):
+            grid = default_grid(1.0)
+            curve = pattern(grid)
+            angles, peak = curve.angles_deg.copy(), curve.peak_angle_deg
+            grid += 5.0      # in place, after the call
+            assert np.array_equal(curve.angles_deg, angles)
+            k = int(np.argmax(curve.power_dbi))
+            assert curve.angles_deg[k] == peak
+
     def test_optimize_f_trace_matches_fresh_patterns(self):
         f_values = [100.0, 110.0, 120.0]
         _, trace = optimize_f(4, 128, "end", True, "nonpem", f_values)

@@ -1,0 +1,162 @@
+"""Every CSV writer writes exactly the bytes of its former csv.writer
+body (tests/oracles.py), on inputs chosen to break a formatter: signed
+zeros, infinities, NaN, padding and dropped columns, empty cells, ties,
+the magnitude floor, and the finest angle grid."""
+
+import numpy as np
+import pytest
+
+from risfeed.geometry import make_center_feed
+from risfeed.coupling import PropagationMatrix, build_T, write_matrix_csv
+from risfeed.modes import ModeMetrics, svd_modes
+from risfeed.patterns import (ExcitationProfile, PatternCurve, amaf_pattern,
+                              default_grid, ris_excitation, ris_pattern,
+                              write_pattern_csv, write_profile_csv)
+from risfeed.sweep import (SweepRecord, optimize_f, run_grid,
+                           write_table_csv, write_trace_csv)
+
+import oracles
+
+INF, NAN = float("inf"), float("nan")
+SPECIALS = [0.0, -0.0, INF, -INF, NAN, 5e-7, -5e-7, 4.9999995e-7, 1e-300,
+            5e-324, 1.7976931348623157e308, -123456.7890125, 0.5, 1.5, 2.5]
+
+
+def random_floats(n, seed):
+    """Signed values spread over the whole float64 exponent range."""
+    rng = np.random.default_rng(seed)
+    return (rng.choice([-1.0, 1.0], n)
+            * 10.0 ** rng.uniform(-320, 307, n) * rng.uniform(1, 10, n))
+
+
+def assert_same_bytes(tmp_path, write, reference, *args):
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write(*args, new)
+    reference(*args, ref)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+def curve_of(values):
+    values = np.asarray(values, dtype=float)
+    return PatternCurve(angles_deg=values, power_dbi=values[::-1].copy(),
+                        power_norm_db=-values, peak_angle_deg=0.0,
+                        peak_dbi=0.0)
+
+
+def record(n_a, n_p, f, sigma_sq_db, *rest, feed="center"):
+    return SweepRecord(n_a=n_a, n_p=n_p, f=f, feed=feed, tilted=False,
+                       metrics=ModeMetrics(tuple(sigma_sq_db), *rest))
+
+
+class TestPatternCsv:
+    def test_special_values(self, tmp_path):
+        assert_same_bytes(tmp_path, write_pattern_csv,
+                          oracles.csv_write_pattern, curve_of(SPECIALS))
+
+    def test_random_values(self, tmp_path):
+        assert_same_bytes(tmp_path, write_pattern_csv,
+                          oracles.csv_write_pattern,
+                          curve_of(random_floats(20000, 1)))
+
+    def test_finest_grid(self, tmp_path):
+        b = svd_modes(build_T(make_center_feed(4, 16, 8))).beam(0)
+        curve = amaf_pattern(b, default_grid(0.005))
+        assert curve.angles_deg.size == 36001
+        assert_same_bytes(tmp_path, write_pattern_csv,
+                          oracles.csv_write_pattern, curve)
+
+    def test_surface_pattern(self, tmp_path):
+        T = build_T(make_center_feed(4, 128, 80))
+        curve = ris_pattern(T, svd_modes(T).beam(0))
+        assert_same_bytes(tmp_path, write_pattern_csv,
+                          oracles.csv_write_pattern, curve)
+
+
+class TestProfileCsv:
+    def test_zero_and_special_magnitudes(self, tmp_path):
+        mags = np.array([0.0, -0.0, 1e-300, 1e-310, 5e-324, INF, NAN, 1.0,
+                         0.1, 3.0e-7])
+        profile = ExcitationProfile(magnitudes=mags,
+                                    element_index=np.arange(1, mags.size + 1))
+        assert_same_bytes(tmp_path, write_profile_csv,
+                          oracles.csv_write_profile, profile)
+
+    def test_random_magnitudes(self, tmp_path):
+        mags = np.abs(random_floats(5000, 2))
+        profile = ExcitationProfile(magnitudes=mags,
+                                    element_index=np.arange(1, mags.size + 1))
+        assert_same_bytes(tmp_path, write_profile_csv,
+                          oracles.csv_write_profile, profile)
+
+    def test_computed_profile(self, tmp_path):
+        T = build_T(make_center_feed(4, 1024, 40))
+        profile = ris_excitation(T, svd_modes(T).beam(0))
+        assert_same_bytes(tmp_path, write_profile_csv,
+                          oracles.csv_write_profile, profile)
+
+
+class TestTableCsv:
+    @pytest.mark.parametrize("n_a,n_p_list,f_list,feed,tilted", [
+        (2, [4, 8], [4.0, 8.0], "center", False),       # nan padding
+        (1, [1], [8.0], "center", False),
+        (16, [8, 32], [4.0, 120.0], "end", True),       # N_p < N_a: inf cond
+        (4, [2, 8], [4.0], "center", False),            # sigma3, 4: -inf
+        (4, [8, 16, 32], [4.0, 8.0, 40.0, 80.0, 120.0], "center", False),
+    ])
+    def test_computed_grids(self, tmp_path, n_a, n_p_list, f_list, feed,
+                            tilted):
+        records = run_grid(n_a, n_p_list, f_list, feed, tilted)
+        assert_same_bytes(tmp_path, write_table_csv,
+                          oracles.csv_write_table, records)
+
+    def test_special_cells(self, tmp_path):
+        records = [
+            record(2, 8, 0.1, [-0.0, NAN], -INF, INF, NAN, -0.0),
+            record(4, 2, 1e-7, [1.0, -INF, -INF, -INF], 0.0, INF, -1.5,
+                   2.5e-7, feed="end"),
+            record(6, 9, 123456789.0, [-1.25, -2.5, -5e-7, 5e-7, -9.0, -9.5],
+                   -1.0, 1e300, 7.0, 1.0),
+        ]
+        assert_same_bytes(tmp_path, write_table_csv,
+                          oracles.csv_write_table, records)
+
+    def test_no_records(self, tmp_path):
+        assert_same_bytes(tmp_path, write_table_csv,
+                          oracles.csv_write_table, [])
+
+
+class TestTraceCsv:
+    def test_none_values_and_tie_for_best(self, tmp_path):
+        trace = [(60.0, None), (61.0, -12.5), (62.0, -12.5), (63.5, -0.0),
+                 (64.25, None), (1e-5, INF), (1e6, NAN)]
+        for best_f in (61.0, 62.0, None):
+            assert_same_bytes(tmp_path, write_trace_csv,
+                              oracles.csv_write_trace, trace, best_f,
+                              "min_sll")
+
+    def test_computed_trace(self, tmp_path):
+        best_f, trace = optimize_f(4, 32, "end", True, "nonpem",
+                                   [4.0, 8.0, 12.0, 16.0], "min_sll", 0.5)
+        assert_same_bytes(tmp_path, write_trace_csv,
+                          oracles.csv_write_trace, trace, best_f, "min_sll")
+
+    def test_empty_trace(self, tmp_path):
+        assert_same_bytes(tmp_path, write_trace_csv,
+                          oracles.csv_write_trace, [], None, "max_power")
+
+
+class TestMatrixCsv:
+    def test_computed_matrix(self, tmp_path):
+        T = build_T(make_center_feed(4, 64, 8))
+        assert_same_bytes(tmp_path, write_matrix_csv,
+                          oracles.csv_write_matrix, T)
+
+    def test_special_entries(self, tmp_path):
+        sc = make_center_feed(2, 8, 4)
+        values = np.array(SPECIALS + [1.0])
+        entries = np.empty(values.size, dtype=complex)
+        entries.real, entries.imag = values, values[::-1]
+        entries = entries.reshape(8, 2)
+        T = PropagationMatrix(entries=entries, scenario=sc)
+        assert_same_bytes(tmp_path, write_matrix_csv,
+                          oracles.csv_write_matrix, T)
