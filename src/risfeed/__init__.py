@@ -5,11 +5,10 @@ sweeps. All distances are in half-wavelength units."""
 
 from .geometry import (ElementLayout, Scenario, build_linear_array,
                        make_center_feed, make_end_feed)
-from .coupling import (CouplingTerms, PropagationMatrix, element_gain,
-                       coupling_terms, build_T)
+from .coupling import PropagationMatrix, element_gain, build_T
 from .modes import (BeamVector, ModeAnalysis, ModeMetrics, svd_modes,
                     power_transfer, mode_metrics, nonpem_vector,
-                    isotropic_loss_db, rayleigh_f)
+                    isotropic_loss_db)
 from .patterns import (PatternCurve, ExcitationProfile, steering_vector,
                        amaf_pattern, ris_excitation, ris_pattern,
                        sidelobe_level, default_grid)

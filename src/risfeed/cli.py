@@ -18,7 +18,7 @@ import math
 import sys
 
 from . import sweep as sweep_mod
-from .modes import mode_report, write_mode_report, nonpem_vector
+from .modes import mode_report, write_mode_report
 from .patterns import (amaf_pattern, ris_pattern, ris_excitation,
                        default_grid, write_pattern_csv, write_profile_csv,
                        DEFAULT_GRID_STEP_DEG)
@@ -39,21 +39,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _list_of(kind, what):
-    """argparse type for a non-empty comma list; errors name the flag."""
+def _checked(kind, ok, rule):
+    """argparse type: kind(text), which must pass ok; errors state rule
+    and argparse prefixes the flag."""
     def parse(text):
         try:
-            values = [kind(x) for x in text.split(",") if x]
+            value = kind(text)
+            if ok(value):
+                return value
         except ValueError:
-            raise argparse.ArgumentTypeError(f"bad {what} list: {text!r}")
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r}: must be {rule}")
+    return parse
+
+
+def _list_of(kind):
+    """argparse type for a non-empty comma list of kind."""
+    def parse(text):
+        values = [kind(x) for x in text.split(",") if x]
         if not values:
-            raise argparse.ArgumentTypeError(f"empty {what} list")
+            raise argparse.ArgumentTypeError(f"empty list {text!r}")
         return values
     return parse
 
 
-_int_list = _list_of(int, "integer")
-_float_list = _list_of(float, "number")
+_size = _checked(int, lambda n: 1 <= n <= MAX_ARRAY_SIZE,
+                 f"an integer from 1 to {MAX_ARRAY_SIZE}")
+_distance = _checked(float, lambda x: math.isfinite(x) and x > 0,
+                     "positive and finite")
+_grid_step = _checked(
+    float, lambda x: math.isfinite(x) and x > 0
+    and 180.0 / x <= MAX_GRID_POINTS - 1,
+    f"positive and give at most {MAX_GRID_POINTS} angles")
 
 
 def _build_parser():
@@ -62,60 +79,52 @@ def _build_parser():
                             "simulator (distances in half-wavelengths)")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def scenario_flags(sp, multi=False):
-        sp.add_argument("--na", type=int, default=4,
+    def command(name, help, many=False, f=True, feed="center", beam=None):
+        """A subcommand with the flags every command shares. `many` makes
+        --np and --f comma lists; f=False leaves --f out, for sweep-f."""
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--na", type=_size, default=4,
                         help="feeder array size (default 4)")
-        if multi:
-            sp.add_argument("--np", dest="np_list", type=_int_list,
-                            help="surface sizes, comma list")
-            sp.add_argument("--f", dest="f_list", type=_float_list,
-                            help="feeder distances, comma list")
-        else:
-            sp.add_argument("--np", dest="np_", type=int,
-                            help="surface array size")
-            sp.add_argument("--f", type=float,
-                            help="feeder-to-surface distance")
-        sp.add_argument("--feed", choices=["center", "end"], default="center")
+        sp.add_argument("--np", type=_list_of(_size) if many else _size,
+                        help="surface sizes, comma list" if many
+                        else "surface array size")
+        if f:
+            sp.add_argument("--f", type=_list_of(_distance) if many
+                            else _distance,
+                            help="feeder distances, comma list" if many
+                            else "feeder-to-surface distance")
+        sp.add_argument("--feed", choices=["center", "end"], default=feed)
         sp.add_argument("--tilted", action="store_true",
                         help="tilt the end-feed feeder toward the "
                              "surface center")
+        if beam:
+            sp.add_argument("--beam", choices=["pem", "nonpem"],
+                            default=beam)
         sp.add_argument("--config", default=None,
                         help="JSON file with flag defaults")
         sp.add_argument("--out", required=True, help="output file path")
+        return sp
 
-    sp = sub.add_parser("analyze", help="single-scenario mode report (JSON)")
-    scenario_flags(sp)
-
-    sp = sub.add_parser("table", help="grid sweep table (CSV)")
-    scenario_flags(sp, multi=True)
-
-    sp = sub.add_parser("pattern", help="radiation pattern (CSV)")
-    scenario_flags(sp)
-    sp.add_argument("--beam", choices=["pem", "nonpem"], default="pem")
+    command("analyze", "single-scenario mode report (JSON)")
+    command("table", "grid sweep table (CSV)", many=True)
+    sp = command("pattern", "radiation pattern (CSV)", beam="pem")
     sp.add_argument("--array", choices=["amaf", "ris"], default="amaf",
                     help="which array's pattern to emit")
-    sp.add_argument("--grid-step", type=float,
+    sp.add_argument("--grid-step", type=_grid_step,
                     default=DEFAULT_GRID_STEP_DEG,
                     help="angle grid step in degrees")
-
-    sp = sub.add_parser("profile", help="surface excitation profile (CSV)")
-    scenario_flags(sp)
-    sp.add_argument("--beam", choices=["pem", "nonpem"], default="pem")
-
-    sp = sub.add_parser("sweep-f", help="feeder-distance optimization (CSV)")
-    sp.add_argument("--na", type=int, default=4)
-    sp.add_argument("--np", dest="np_", type=int)
-    sp.add_argument("--feed", choices=["center", "end"], default="end")
-    sp.add_argument("--tilted", action="store_true")
-    sp.add_argument("--beam", choices=["pem", "nonpem"], default="nonpem")
-    sp.add_argument("--f-min", type=float)
-    sp.add_argument("--f-max", type=float)
-    sp.add_argument("--f-step", type=float, default=1.0)
+    command("profile", "surface excitation profile (CSV)", beam="pem")
+    sp = command("sweep-f", "feeder-distance optimization (CSV)", f=False,
+                 feed="end", beam="nonpem")
+    sp.add_argument("--f-min", type=_distance)
+    sp.add_argument("--f-max", type=_distance)
+    sp.add_argument("--f-step", type=_distance, default=1.0)
     sp.add_argument("--objective", choices=list(sweep_mod.OBJECTIVES),
                     default="min_sll")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--out", required=True)
     return p
+
+
+_PARSER = _build_parser()
 
 
 def _config_tokens(path):
@@ -139,67 +148,46 @@ def _config_tokens(path):
     return tokens
 
 
-def _parse(parser, argv):
+def _parse(argv):
     """Parse argv; --config values go in ahead of the command-line flags,
     so they get the same conversion and the command line wins."""
-    args = parser.parse_args(argv)
-    if not getattr(args, "config", None):
+    args = _PARSER.parse_args(argv)
+    if not args.config:
         return args
     i = argv.index(args.subcommand) + 1
     tokens = _config_tokens(args.config)
     try:
-        return parser.parse_args(argv[:i] + tokens + argv[i:])
+        return _PARSER.parse_args(argv[:i] + tokens + argv[i:])
     except UsageError as exc:
         raise UsageError(f"config file {args.config}: {exc}")
 
 
 def _validate(args):
-    required = {"analyze": ["np_", "f"], "pattern": ["np_", "f"],
-                "profile": ["np_", "f"], "table": ["np_list", "f_list"],
-                "sweep-f": ["np_", "f_min", "f_max"]}
-    flag = {"np_": "--np", "np_list": "--np", "f_list": "--f"}
-    for name in required[args.subcommand]:
-        if getattr(args, name, None) is None:
-            raise UsageError(
-                f"missing required parameter {flag.get(name, '--' + name.replace('_', '-'))}")
-    for name in ("na", "np_", "np_list"):
-        value = getattr(args, name, None)
-        values = value if isinstance(value, list) else [value]
-        if value is not None and not all(
-                1 <= v <= MAX_ARRAY_SIZE for v in values):
-            flag = name.replace("_list", "").rstrip("_")
-            raise UsageError(f"--{flag} must be from 1 to {MAX_ARRAY_SIZE}")
-    for name in ("f", "f_list", "f_min", "f_max", "f_step", "grid_step"):
-        value = getattr(args, name, None)
-        values = value if isinstance(value, list) else [value]
-        if value is not None and not all(
-                math.isfinite(v) and v > 0 for v in values):
-            flag = name.replace("_list", "").replace("_", "-")
-            raise UsageError(f"--{flag} must be positive and finite")
-    if hasattr(args, "grid_step") and 180.0 / args.grid_step > (
-            MAX_GRID_POINTS - 1):
-        raise UsageError(f"--grid-step gives more than {MAX_GRID_POINTS} "
-                         f"angles")
-    if args.subcommand == "sweep-f" and args.f_min > args.f_max:
+    """Rules that span flags, or that a config file may satisfy."""
+    sweep = args.subcommand == "sweep-f"
+    for name in ("np", "f_min", "f_max") if sweep else ("np", "f"):
+        if getattr(args, name) is None:
+            raise UsageError("missing required parameter --"
+                             + name.replace("_", "-"))
+    if sweep and args.f_min > args.f_max:
         raise UsageError("--f-min must not exceed --f-max")
-    if args.subcommand == "sweep-f" and (
-            args.f_max - args.f_min) / args.f_step > MAX_GRID_POINTS - 1:
+    if sweep and (args.f_max - args.f_min) / args.f_step > (
+            MAX_GRID_POINTS - 1):
         raise UsageError(f"--f-step gives more than {MAX_GRID_POINTS} "
                          f"distances")
-    if getattr(args, "tilted", False) and args.feed != "end":
+    if args.tilted and args.feed != "end":
         raise UsageError("--tilted requires --feed end")
 
 
 def _analysis(args):
-    return sweep_mod.analyze_point(args.na, args.np_, args.f, args.feed,
+    return sweep_mod.analyze_point(args.na, args.np, args.f, args.feed,
                                    args.tilted)
 
 
 def _beam(args):
     """Propagation matrix and the selected feeder excitation."""
     _, T, modes, _ = _analysis(args)
-    pem = modes.beam(0)
-    return T, pem if args.beam == "pem" else nonpem_vector(pem)
+    return T, sweep_mod._beam_for(modes, args.beam)
 
 
 def run(args):
@@ -208,8 +196,8 @@ def run(args):
         scenario, _, modes, metrics = _analysis(args)
         write_mode_report(mode_report(modes, metrics, scenario), args.out)
     elif cmd == "table":
-        records = sweep_mod.run_grid(args.na, args.np_list, args.f_list,
-                                     args.feed, args.tilted)
+        records = sweep_mod.run_grid(args.na, args.np, args.f, args.feed,
+                                     args.tilted)
         sweep_mod.write_table_csv(records, args.out)
     elif cmd == "pattern":
         T, beam = _beam(args)
@@ -227,7 +215,7 @@ def run(args):
         f_values = [args.f_min + i * args.f_step for i in range(n_steps + 1)]
         f_values = [f for f in f_values if f <= args.f_max + 1e-9]
         best_f, trace = sweep_mod.optimize_f(
-            args.na, args.np_, args.feed, args.tilted, args.beam,
+            args.na, args.np, args.feed, args.tilted, args.beam,
             f_values, args.objective)
         sweep_mod.write_trace_csv(trace, best_f, args.objective, args.out)
     return 0
@@ -236,19 +224,15 @@ def run(args):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
     try:
-        args = _parse(parser, argv)
+        args = _parse(argv)
         _validate(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
         return run(args)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

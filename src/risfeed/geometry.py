@@ -18,28 +18,23 @@ class ElementLayout:
     """A rigid uniform linear array of antenna elements.
 
     positions:  (n, 2) element coordinates, lambda/2 units.
-    boresights: (n, 2) unit vectors; identical for every element.
+    boresight:  (2,) unit vector shared by every element.
     spacing:    inter-element distance, lambda/2 units.
     """
 
     positions: np.ndarray
-    boresights: np.ndarray
+    boresight: np.ndarray
     spacing: float = 1.0
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
-        bs = np.asarray(self.boresights, dtype=float)
+        bs = np.asarray(self.boresight, dtype=float)
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "boresights", bs)
+        object.__setattr__(self, "boresight", bs)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ValueError("positions must have shape (n, 2) with n >= 1")
-        if bs.shape != pos.shape:
-            raise ValueError("boresights must match positions in shape")
-        norms = np.linalg.norm(bs, axis=1)
-        if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
-            raise ValueError("boresight vectors must be unit norm")
-        if np.any(np.abs(bs - bs[0]) > _UNIT_TOL):
-            raise ValueError("all elements must share one boresight")
+        if abs(np.linalg.norm(bs) - 1.0) > _UNIT_TOL:
+            raise ValueError("boresight vector must be unit norm")
         n = pos.shape[0]
         if n > 1:
             steps = np.diff(pos, axis=0)
@@ -56,10 +51,6 @@ class ElementLayout:
     def centroid(self) -> np.ndarray:
         return self.positions.mean(axis=0)
 
-    @property
-    def boresight(self) -> np.ndarray:
-        return self.boresights[0]
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -74,8 +65,8 @@ class Scenario:
     def __post_init__(self):
         if self.feed_style not in ("center", "end"):
             raise ValueError(f"unknown feed_style {self.feed_style!r}")
-        if self.f <= 0:
-            raise ValueError("f must be positive")
+        if not (np.isfinite(self.f) and self.f > 0):
+            raise ValueError("f must be positive and finite")
         if self.tilted and self.feed_style != "end":
             raise ValueError("tilt applies to end feed only")
 
@@ -114,14 +105,11 @@ def build_linear_array(n, centroid, axis, boresight, spacing=1.0):
         raise ValueError("axis must be orthogonal to boresight")
     offsets = (np.arange(n) - (n - 1) / 2.0) * spacing
     positions = centroid[None, :] + offsets[:, None] * axis[None, :]
-    boresights = np.tile(boresight, (n, 1))
-    return ElementLayout(positions, boresights, spacing)
+    return ElementLayout(positions, boresight, spacing)
 
 
 def make_center_feed(n_a, n_p, f, spacing=1.0):
     """Feeder centered over the surface midpoint, arrays facing each other."""
-    if f <= 0:
-        raise ValueError("f must be positive")
     ris = build_linear_array(n_p, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), spacing)
     amaf = build_linear_array(n_a, (0.0, f), (1.0, 0.0), (0.0, -1.0), spacing)
     return Scenario(amaf=amaf, ris=ris, feed_style="center", f=f)
@@ -134,8 +122,6 @@ def make_end_feed(n_a, n_p, f, tilted, spacing=1.0):
     its boresight ray passes through the surface centroid, like a feed
     horn aimed at the reflector center.
     """
-    if f <= 0:
-        raise ValueError("f must be positive")
     ris = build_linear_array(n_p, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), spacing)
     centroid = np.array([ris.positions[0, 0], f])
     if tilted:

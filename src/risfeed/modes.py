@@ -1,11 +1,11 @@
 """Eigenmode analysis of the propagation matrix.
 
-The SVD is one LAPACK call on T itself, which keeps the small singular
-values to full relative accuracy; squaring T into its Gram matrix would
-square the condition number. Global phase of each right vector is fixed
-so its largest-magnitude entry is real and positive (lowest index on
-ties), which makes every downstream file reproducible bit for bit; its
-left vector, the U column of the same call, takes the same phase.
+The SVD is one LAPACK call on T itself, which avoids squaring the
+condition number as an eigensolve of the Gram matrix T^H T would.
+Global phase of each right vector is fixed so its largest-magnitude
+entry is real and positive (lowest index on ties), which makes every
+downstream file reproducible bit for bit; its left vector, the U column
+of the same call, takes the same phase.
 """
 
 import json
@@ -22,7 +22,6 @@ class BeamVector:
     """Unit-norm feeder excitation."""
 
     weights: np.ndarray
-    label: str = "custom"   # pem | nonpem | custom
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=complex)
@@ -47,8 +46,7 @@ class ModeAnalysis:
 
     def beam(self, i=0) -> BeamVector:
         """The i-th eigenmode as a feeder excitation (0 = principal)."""
-        label = "pem" if i == 0 else "custom"
-        return BeamVector(self.right_vectors[:, i].copy(), label)
+        return BeamVector(self.right_vectors[:, i].copy())
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,7 @@ def power_transfer(T: PropagationMatrix, b: BeamVector) -> float:
 
 def nonpem_vector(v1: BeamVector) -> BeamVector:
     """Element-wise magnitudes of a beam: phases removed, norm preserved."""
-    return BeamVector(np.abs(v1.weights).astype(complex), "nonpem")
+    return BeamVector(np.abs(v1.weights).astype(complex))
 
 
 def isotropic_loss_db(f) -> float:
@@ -109,13 +107,6 @@ def isotropic_loss_db(f) -> float:
     if f <= 0:
         raise ValueError("f must be positive")
     return -10.0 * np.log10((2.0 * np.pi * f) ** 2)
-
-
-def rayleigh_f(n_p, spacing=1.0) -> float:
-    """Distance at which f/D reaches the far-field boundary f/D = D."""
-    if n_p < 1:
-        raise ValueError("n_p must be >= 1")
-    return (n_p * spacing) ** 2
 
 
 def mode_metrics(modes: ModeAnalysis, scenario: Scenario) -> ModeMetrics:

@@ -105,25 +105,21 @@ def ris_excitation(T: PropagationMatrix, b: BeamVector) -> ExcitationProfile:
                              element_index=np.arange(1, T.n_p + 1))
 
 
-def ris_pattern(T: PropagationMatrix, b: BeamVector, angles_deg=None,
-                cophase="broadside") -> PatternCurve:
+def ris_pattern(T: PropagationMatrix, b: BeamVector,
+                angles_deg=None) -> PatternCurve:
     """Surface power pattern for a feeder excitation.
 
-    With cophase="broadside" each surface element cancels the incident
-    phase, so the effective aperture vector is |T b| and the beam points
-    broadside; "none" leaves the incident complex excitation untouched.
-    The aperture is not renormalized: dBi values include the feeder-to-
-    surface propagation loss.
+    Each surface element cancels the incident phase, so the effective
+    aperture vector is |T b| and the beam points broadside. The aperture
+    is not renormalized: dBi values include the feeder-to-surface
+    propagation loss.
     """
-    if cophase not in ("broadside", "none"):
-        raise ValueError(f"unknown cophase mode {cophase!r}")
     if b.weights.shape[0] != T.n_a:
         raise ValueError("beam length does not match feeder size")
     if angles_deg is None:
         angles_deg = default_grid()
-    e = T.entries @ b.weights
-    x = np.abs(e) if cophase == "broadside" else e
-    if not np.any(np.abs(x) > 0):
+    x = np.abs(T.entries @ b.weights)
+    if not np.any(x > 0):
         raise ValueError("all-zero surface excitation")
     power = _array_pattern(x, angles_deg)
     return _curve_from_power(np.array(angles_deg, dtype=float), power)

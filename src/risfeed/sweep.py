@@ -9,8 +9,7 @@ from .geometry import make_center_feed, make_end_feed
 from .coupling import _write_csv, build_T
 from .modes import (svd_modes, mode_metrics, power_transfer, nonpem_vector,
                     ModeMetrics)
-from .patterns import (ris_pattern, ris_excitation, sidelobe_level,
-                       default_grid)
+from .patterns import ris_pattern, ris_excitation, sidelobe_level
 
 OBJECTIVES = ("max_power", "min_sll", "min_profile_variation")
 
@@ -23,7 +22,6 @@ class SweepRecord:
     n_p: int
     f: float
     feed: str
-    tilted: bool
     metrics: ModeMetrics
 
 
@@ -56,8 +54,7 @@ def run_grid(n_a, n_p_list, f_list, feed_style, tilted=False):
                 raise RuntimeError(
                     f"grid point n_p={n_p} f={f} failed: {exc}") from exc
             records.append(SweepRecord(n_a=n_a, n_p=n_p, f=f,
-                                       feed=feed_style, tilted=tilted,
-                                       metrics=metrics))
+                                       feed=feed_style, metrics=metrics))
     records.sort(key=lambda rec: (rec.n_p, rec.f))
     return records
 
@@ -82,7 +79,7 @@ def _beam_for(modes, beam):
 
 
 def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
-               objective="min_sll", grid_step_deg=None):
+               objective="min_sll"):
     """Exhaustive scan of feeder distances under one objective.
 
     Returns (best_f, trace) where trace is a list of (f, objective value)
@@ -94,7 +91,6 @@ def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
         raise ValueError("f range must be non-empty")
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    angles = None if grid_step_deg is None else default_grid(grid_step_deg)
     best_f, best_val = None, None
     trace = []
     for f in sorted(f_values):
@@ -104,7 +100,7 @@ def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
             val = power_transfer(T, b)
             better = best_val is None or val > best_val
         elif objective == "min_sll":
-            sll = sidelobe_level(ris_pattern(T, b, angles))
+            sll = sidelobe_level(ris_pattern(T, b))
             if sll is None:
                 trace.append((f, None))
                 continue

@@ -12,8 +12,6 @@ import csv
 
 import numpy as np
 
-from risfeed.coupling import _pair_geometry
-
 
 def one_sided_jacobi_svd(A, tol=1e-15, max_sweeps=60):
     """SVD of a complex matrix by one-sided Jacobi column orthogonalization.
@@ -127,17 +125,3 @@ def csv_write_trace(trace, best_f, objective, path):
                         "" if val is None else f"{val:.9e}",
                         int(f == best_f)])
 
-
-def csv_write_matrix(T, path):
-    r, theta, phi = _pair_geometry(T.scenario)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "m", "re", "im", "r", "theta_deg", "phi_deg"])
-        for n in range(T.n_p):
-            for m in range(T.n_a):
-                w.writerow([n, m,
-                            f"{T.entries[n, m].real:.12e}",
-                            f"{T.entries[n, m].imag:.12e}",
-                            f"{r[n, m]:.12e}",
-                            f"{np.degrees(theta[n, m]):.9f}",
-                            f"{np.degrees(phi[n, m]):.9f}"])

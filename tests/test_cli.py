@@ -65,10 +65,11 @@ class TestUsageErrors:
                      "--out", str(tmp_path / "o.json"))
         assert rc == 1
 
-    def test_negative_f_is_numerical_domain_error(self, capsys, tmp_path):
+    def test_negative_f_is_usage_error(self, capsys, tmp_path):
         rc = run_cli("analyze", "--na", "4", "--np", "8", "--f", "-3",
                      "--out", str(tmp_path / "o.json"))
-        assert rc in (1, 2)
+        assert rc == 1
+        assert "--f" in capsys.readouterr().err
         assert (tmp_path / "o.json").exists() is False
 
 
@@ -94,6 +95,39 @@ def test_readme_command_reruns_byte_identical(tmp_path, command):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_parser_built_once_and_reused(tmp_path, monkeypatch):
+    def rebuilt():
+        raise AssertionError("parser rebuilt per command")
+    monkeypatch.setattr("risfeed.cli._build_parser", rebuilt)
+    first = []
+    for i, command in enumerate(README_COMMANDS):
+        assert run_cli(*command.split(), "--out", str(tmp_path / f"a{i}")) == 0
+        first.append((tmp_path / f"a{i}").read_bytes())
+    for i, command in reversed(list(enumerate(README_COMMANDS))):
+        assert run_cli(*command.split(), "--out", str(tmp_path / f"b{i}")) == 0
+        assert (tmp_path / f"b{i}").read_bytes() == first[i], command
+
+
+class TestSubcommandDefaults:
+    def same_output(self, tmp_path, short, explicit):
+        a, b = tmp_path / "short", tmp_path / "explicit"
+        assert run_cli(*short.split(), "--out", str(a)) == 0
+        assert run_cli(*explicit.split(), "--out", str(b)) == 0
+        return a.read_bytes() == b.read_bytes()
+
+    def test_sweep_f_defaults_to_end_feed_nonpem(self, tmp_path):
+        short = "sweep-f --np 32 --tilted --f-min 10 --f-max 20 --f-step 2"
+        assert self.same_output(tmp_path, short,
+                                short + " --feed end --beam nonpem")
+
+    def test_pattern_and_profile_default_to_pem(self, tmp_path):
+        for short in ("pattern --np 32 --f 16 --feed end --grid-step 0.5",
+                      "profile --np 32 --f 16 --feed end"):
+            assert self.same_output(tmp_path, short, short + " --beam pem")
+            assert not self.same_output(tmp_path, short,
+                                        short + " --beam nonpem")
+
+
 class TestAnalyze:
     def test_single_element_anchor(self, tmp_path):
         out = tmp_path / "report.json"
@@ -102,6 +136,7 @@ class TestAnalyze:
         assert rc == 0
         rep = json.loads(out.read_text())
         assert rep["sigma_sq_db"][0] == pytest.approx(-21.99, abs=0.01)
+        # no --feed given: analyze defaults to the center feed
         assert rep["scenario"]["feed"] == "center"
 
     def test_end_feed_scenario(self, tmp_path):
@@ -224,6 +259,8 @@ class TestConfigFile:
         for bad, key in [({"na": 4, "np": 8, "f": "eight"}, "--f"),
                          ({"na": "four", "np": 8, "f": 8}, "--na"),
                          ({"na": 4, "np": 8.5, "f": 8}, "--np"),
+                         ({"na": 4, "np": 8, "f": -3}, "--f"),
+                         ({"na": 2000, "np": 8, "f": 8}, "--na"),
                          ({"na": 4, "np": 8, "f": 8, "feed": "side"},
                           "--feed"),
                          ({"na": 4, "np": 8, "f": 8, "tilted": "yes"},

@@ -3,8 +3,7 @@ import pytest
 
 from risfeed.geometry import (ElementLayout, Scenario, build_linear_array,
                               make_center_feed, make_end_feed)
-from risfeed.coupling import (element_gain, coupling_terms, build_T,
-                              write_matrix_csv)
+from risfeed.coupling import element_gain, _pair_geometry, build_T
 from risfeed.modes import svd_modes
 
 
@@ -30,35 +29,26 @@ class TestElementGain:
 
 class TestCouplingTerms:
     def test_facing_single_elements(self):
-        sc = make_center_feed(1, 1, 8)
-        terms = coupling_terms(0, 0, sc)
-        assert terms.r == pytest.approx(8.0)
-        assert terms.theta == pytest.approx(0.0, abs=1e-12)
-        assert terms.phi == pytest.approx(0.0, abs=1e-12)
+        r, theta, phi = _pair_geometry(make_center_feed(1, 1, 8))
+        assert r[0, 0] == pytest.approx(8.0)
+        assert theta[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert phi[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_pair_closed_form(self):
         # feeder element 0 at (-1.5, 4), surface element 7 at (3.5, 0)
-        sc = make_center_feed(4, 8, 4)
-        terms = coupling_terms(0, 7, sc)
-        assert terms.r == pytest.approx(np.sqrt(41.0))
-        assert terms.theta == pytest.approx(np.arctan2(5.0, 4.0))
-        assert terms.phi == pytest.approx(np.arctan2(5.0, 4.0))
+        r, theta, phi = _pair_geometry(make_center_feed(4, 8, 4))
+        assert r[7, 0] == pytest.approx(np.sqrt(41.0))
+        assert theta[7, 0] == pytest.approx(np.arctan2(5.0, 4.0))
+        assert phi[7, 0] == pytest.approx(np.arctan2(5.0, 4.0))
 
     def test_tilted_angles_from_rotated_boresight(self):
         sc = make_end_feed(4, 32, 16, tilted=True)
         # the surface centroid lies on the tilted boresight ray, so the
         # departure angle to a central element is nearly zero
-        mid = coupling_terms(1, 15, sc).theta
-        assert mid < np.radians(3.0)
-        flat = coupling_terms(1, 15, make_end_feed(4, 32, 16, False)).theta
-        assert flat > np.radians(30.0)
-
-    def test_index_out_of_range(self):
-        sc = make_center_feed(2, 4, 8)
-        with pytest.raises(IndexError):
-            coupling_terms(2, 0, sc)
-        with pytest.raises(IndexError):
-            coupling_terms(0, 4, sc)
+        _, mid, _ = _pair_geometry(sc)
+        assert mid[15, 1] < np.radians(3.0)
+        _, flat, _ = _pair_geometry(make_end_feed(4, 32, 16, False))
+        assert flat[15, 1] > np.radians(30.0)
 
 
 class TestBuildT:
@@ -119,16 +109,7 @@ class TestBuildT:
         amaf = build_linear_array(1, (0, 0), (1, 0), (0, -1))
         ris = build_linear_array(3, (0, 0), (1, 0), (0, 1))
         sc = Scenario(amaf=amaf, ris=ris, feed_style="center", f=1)
-        with pytest.raises(ValueError, match="coincident"):
+        with pytest.raises(ValueError,
+                           match="coincident elements: surface 1, feeder 0"):
             build_T(sc)
 
-    def test_matrix_csv_dump(self, tmp_path):
-        T = build_T(make_center_feed(2, 3, 4))
-        path = tmp_path / "t.csv"
-        write_matrix_csv(T, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "n,m,re,im,r,theta_deg,phi_deg"
-        assert len(lines) == 1 + 6
-        n, m, re, im, r, th, ph = lines[1].split(",")
-        assert complex(float(re), float(im)) == pytest.approx(
-            T.entries[0, 0], abs=1e-10)

@@ -42,19 +42,12 @@ class TestBuildLinearArray:
 class TestElementLayout:
     def test_rejects_non_unit_boresight(self):
         with pytest.raises(ValueError):
-            ElementLayout(np.array([[0.0, 0.0]]), np.array([[0.0, 2.0]]))
-
-    def test_rejects_mixed_boresights(self):
-        pos = np.array([[0.0, 0.0], [1.0, 0.0]])
-        bs = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError):
-            ElementLayout(pos, bs)
+            ElementLayout(np.array([[0.0, 0.0]]), np.array([0.0, 2.0]))
 
     def test_rejects_nonuniform_spacing(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.5, 0.0]])
-        bs = np.tile([0.0, 1.0], (3, 1))
         with pytest.raises(ValueError):
-            ElementLayout(pos, bs)
+            ElementLayout(pos, np.array([0.0, 1.0]))
 
 
 class TestCenterFeed:
@@ -83,10 +76,9 @@ class TestCenterFeed:
                                np.sort(layout.positions[:, 0]))
 
     def test_rejects_nonpositive_f(self):
-        with pytest.raises(ValueError):
-            make_center_feed(4, 8, 0)
-        with pytest.raises(ValueError):
-            make_center_feed(4, 8, -1)
+        for f in (0, -1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                make_center_feed(4, 8, f)
 
 
 class TestEndFeed:
@@ -127,8 +119,10 @@ class TestEndFeed:
         assert np.allclose(sc.amaf.centroid, [-15.5, 16])
 
     def test_rejects_nonpositive_f(self):
-        with pytest.raises(ValueError):
-            make_end_feed(4, 32, 0, tilted=False)
+        for f in (0, np.nan, np.inf):
+            for tilted in (False, True):
+                with pytest.raises(ValueError):
+                    make_end_feed(4, 32, f, tilted)
 
 
 class TestScenario:

@@ -225,13 +225,6 @@ class TestRisPattern:
             curve = ris_pattern(T, m.beam(0), np.linspace(-90, 90, 1801))
             assert curve.peak_angle_deg == pytest.approx(0.0, abs=0.2)
 
-    def test_cophase_none_keeps_complex_aperture(self):
-        T, m = end_feed_setup(32, 16.0)
-        grid = np.linspace(-90, 90, 721)
-        raw = ris_pattern(T, m.beam(0), grid, cophase="none")
-        co = ris_pattern(T, m.beam(0), grid, cophase="broadside")
-        assert raw.peak_dbi <= co.peak_dbi + 1e-9
-
     def test_center_feed_low_sidelobes(self):
         sc = make_center_feed(4, 128, 80)
         T = build_T(sc)
@@ -241,15 +234,9 @@ class TestRisPattern:
     def test_rejects_all_zero_excitation(self):
         T, _ = end_feed_setup(8, 4.0)
         from risfeed.coupling import PropagationMatrix
-        Tz = PropagationMatrix(entries=np.zeros_like(T.entries),
-                               scenario=T.scenario)
+        Tz = PropagationMatrix(entries=np.zeros_like(T.entries))
         with pytest.raises(ValueError):
             ris_pattern(Tz, BeamVector(np.eye(4)[0].astype(complex)))
-
-    def test_rejects_unknown_cophase(self):
-        T, m = end_feed_setup(8, 4.0)
-        with pytest.raises(ValueError):
-            ris_pattern(T, m.beam(0), cophase="steer")
 
     def test_grid_refinement_stability(self):
         T, m = end_feed_setup(32, 16.0)

@@ -116,10 +116,10 @@ class TestOptimizeF:
         assert best == min(vals, key=vals.get)
 
     def test_min_sll_trace_and_regression(self):
-        # frozen scan over the end-feed non-PEM family (coarse angle grid)
+        # frozen scan over the end-feed non-PEM family
         best, trace = optimize_f(4, 128, "end", True, "nonpem",
                                  list(range(60, 141, 10)),
-                                 objective="min_sll", grid_step_deg=0.1)
+                                 objective="min_sll")
         vals = {f: v for f, v in trace if v is not None}
         assert best == min(vals, key=vals.get)
         assert best == 90

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from risfeed.geometry import make_center_feed
-from risfeed.coupling import PropagationMatrix, build_T, write_matrix_csv
+from risfeed.coupling import build_T
 from risfeed.modes import ModeMetrics, svd_modes
 from risfeed.patterns import (ExcitationProfile, PatternCurve, amaf_pattern,
                               default_grid, ris_excitation, ris_pattern,
@@ -44,7 +44,7 @@ def curve_of(values):
 
 
 def record(n_a, n_p, f, sigma_sq_db, *rest, feed="center"):
-    return SweepRecord(n_a=n_a, n_p=n_p, f=f, feed=feed, tilted=False,
+    return SweepRecord(n_a=n_a, n_p=n_p, f=f, feed=feed,
                        metrics=ModeMetrics(tuple(sigma_sq_db), *rest))
 
 
@@ -136,7 +136,7 @@ class TestTraceCsv:
 
     def test_computed_trace(self, tmp_path):
         best_f, trace = optimize_f(4, 32, "end", True, "nonpem",
-                                   [4.0, 8.0, 12.0, 16.0], "min_sll", 0.5)
+                                   [4.0, 8.0, 12.0, 16.0], "min_sll")
         assert_same_bytes(tmp_path, write_trace_csv,
                           oracles.csv_write_trace, trace, best_f, "min_sll")
 
@@ -144,19 +144,3 @@ class TestTraceCsv:
         assert_same_bytes(tmp_path, write_trace_csv,
                           oracles.csv_write_trace, [], None, "max_power")
 
-
-class TestMatrixCsv:
-    def test_computed_matrix(self, tmp_path):
-        T = build_T(make_center_feed(4, 64, 8))
-        assert_same_bytes(tmp_path, write_matrix_csv,
-                          oracles.csv_write_matrix, T)
-
-    def test_special_entries(self, tmp_path):
-        sc = make_center_feed(2, 8, 4)
-        values = np.array(SPECIALS + [1.0])
-        entries = np.empty(values.size, dtype=complex)
-        entries.real, entries.imag = values, values[::-1]
-        entries = entries.reshape(8, 2)
-        T = PropagationMatrix(entries=entries, scenario=sc)
-        assert_same_bytes(tmp_path, write_matrix_csv,
-                          oracles.csv_write_matrix, T)
