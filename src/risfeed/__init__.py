@@ -3,8 +3,7 @@ multi-antenna feeder (AMAF) illuminating a passive reflective surface
 (RIS), with eigenmode analysis, radiation patterns, and parameter
 sweeps. All distances are in half-wavelength units."""
 
-from .geometry import (ElementLayout, Scenario, build_linear_array,
-                       make_center_feed, make_end_feed)
+from .geometry import ElementLayout, Scenario, make_center_feed, make_end_feed
 from .coupling import PropagationMatrix, element_gain, build_T
 from .modes import (BeamVector, ModeAnalysis, ModeMetrics, svd_modes,
                     power_transfer, mode_metrics, nonpem_vector,

@@ -43,6 +43,13 @@ class PropagationMatrix:
     def n_a(self) -> int:
         return self.entries.shape[1]
 
+    def apply(self, weights):
+        """T w: the surface excitation of feeder weights w."""
+        if weights.shape[0] != self.n_a:
+            raise ValueError(
+                f"beam length {weights.shape[0]} != feeder size {self.n_a}")
+        return self.entries @ weights
+
 
 def _pair_geometry(scenario):
     """Distances and unsigned angles between every surface element and

@@ -1,12 +1,13 @@
 """Array layouts and feed scenarios in a 2-D plane.
 
 All distances are in half-wavelength units. The surface (RIS) lies along
-the x-axis; the feeder (AMAF) sits at height z = f above it. Geometry is
-strictly planar: linear arrays with axisymmetric element patterns make
-the third dimension redundant.
+the x-axis; the feeder (AMAF) sits at height z = f above it. Both are
+uniform linear arrays with elements a fixed lambda/2 (one unit) apart.
+Geometry is strictly planar: linear arrays with axisymmetric element
+patterns make the third dimension redundant.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,41 +16,34 @@ _UNIT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ElementLayout:
-    """A rigid uniform linear array of antenna elements.
+    """A rigid uniform linear array of n elements, lambda/2 apart.
 
-    positions:  (n, 2) element coordinates, lambda/2 units.
-    boresight:  (2,) unit vector shared by every element.
-    spacing:    inter-element distance, lambda/2 units.
+    Element k sits at centroid + (k - (n-1)/2) * axis, and every element
+    faces `boresight`; `axis` and `boresight` are orthogonal unit
+    2-vectors. positions is the (n, 2) array of element coordinates.
     """
 
-    positions: np.ndarray
+    n: int
+    centroid: np.ndarray
+    axis: np.ndarray
     boresight: np.ndarray
-    spacing: float = 1.0
+    positions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        bs = np.asarray(self.boresight, dtype=float)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "boresight", bs)
-        if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
-            raise ValueError("positions must have shape (n, 2) with n >= 1")
-        if abs(np.linalg.norm(bs) - 1.0) > _UNIT_TOL:
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        for name in ("centroid", "axis", "boresight"):
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=float))
+        if abs(np.linalg.norm(self.axis) - 1.0) > _UNIT_TOL:
+            raise ValueError("axis must be unit norm")
+        if abs(np.linalg.norm(self.boresight) - 1.0) > _UNIT_TOL:
             raise ValueError("boresight vector must be unit norm")
-        n = pos.shape[0]
-        if n > 1:
-            steps = np.diff(pos, axis=0)
-            if np.any(np.abs(steps - steps[0]) > 1e-9):
-                raise ValueError("positions must be collinear and uniform")
-            if abs(np.linalg.norm(steps[0]) - self.spacing) > 1e-9:
-                raise ValueError("element step must equal spacing")
-
-    @property
-    def n(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.positions.mean(axis=0)
+        if abs(float(self.axis @ self.boresight)) > _UNIT_TOL:
+            raise ValueError("axis must be orthogonal to boresight")
+        offsets = np.arange(self.n) - (self.n - 1) / 2.0
+        object.__setattr__(self, "positions", self.centroid[None, :]
+                           + offsets[:, None] * self.axis[None, :])
 
 
 @dataclass(frozen=True)
@@ -79,60 +73,38 @@ class Scenario:
         return self.ris.n
 
     @property
-    def aperture(self) -> float:
-        """Surface size D = N_p * spacing."""
-        return self.n_p * self.ris.spacing
-
-    @property
     def f_over_d(self) -> float:
-        return self.f / self.aperture
+        """f over the surface size D = N_p elements lambda/2 apart."""
+        return self.f / self.n_p
 
 
-def build_linear_array(n, centroid, axis, boresight, spacing=1.0):
-    """Place n elements symmetrically about `centroid` along `axis`.
-
-    Element k sits at centroid + (k - (n-1)/2) * spacing * axis.
-    `axis` and `boresight` must be orthogonal unit vectors.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    centroid = np.asarray(centroid, dtype=float)
-    axis = np.asarray(axis, dtype=float)
-    boresight = np.asarray(boresight, dtype=float)
-    if abs(np.linalg.norm(axis) - 1.0) > _UNIT_TOL:
-        raise ValueError("axis must be unit norm")
-    if abs(float(axis @ boresight)) > _UNIT_TOL:
-        raise ValueError("axis must be orthogonal to boresight")
-    offsets = (np.arange(n) - (n - 1) / 2.0) * spacing
-    positions = centroid[None, :] + offsets[:, None] * axis[None, :]
-    return ElementLayout(positions, boresight, spacing)
-
-
-def make_center_feed(n_a, n_p, f, spacing=1.0):
+def make_center_feed(n_a, n_p, f):
     """Feeder centered over the surface midpoint, arrays facing each other."""
-    ris = build_linear_array(n_p, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), spacing)
-    amaf = build_linear_array(n_a, (0.0, f), (1.0, 0.0), (0.0, -1.0), spacing)
+    ris = ElementLayout(n_p, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+    amaf = ElementLayout(n_a, (0.0, f), (1.0, 0.0), (0.0, -1.0))
     return Scenario(amaf=amaf, ris=ris, feed_style="center", f=f)
 
 
-def make_end_feed(n_a, n_p, f, tilted, spacing=1.0):
+def make_end_feed(n_a, n_p, f, tilted):
     """Feeder above the first (edge) surface element, optionally tilted.
 
-    The tilt rotates the whole feeder rigidly about its centroid so that
-    its boresight ray passes through the surface centroid, like a feed
-    horn aimed at the reflector center.
+    The feeder is one rotation by alpha of a flat array (axis +x, facing
+    -z) about its centroid. Tilted, alpha aims its boresight ray at the
+    surface centroid, like a feed horn aimed at the reflector center;
+    flat, alpha is 0. A tilt that puts any feeder element at or below
+    the surface is an error.
     """
-    ris = build_linear_array(n_p, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), spacing)
-    centroid = np.array([ris.positions[0, 0], f])
-    if tilted:
-        # rotate (0,-1) onto the direction feeder centroid -> surface centroid
-        alpha = np.arctan2(-centroid[0], f)
-        c, s = np.cos(alpha), np.sin(alpha)
-        rot = np.array([[c, -s], [s, c]])
-        axis = rot @ np.array([1.0, 0.0])
-        boresight = rot @ np.array([0.0, -1.0])
-    else:
-        axis = np.array([1.0, 0.0])
-        boresight = np.array([0.0, -1.0])
-    amaf = build_linear_array(n_a, centroid, axis, boresight, spacing)
-    return Scenario(amaf=amaf, ris=ris, feed_style="end", f=f, tilted=tilted)
+    ris = ElementLayout(n_p, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+    x0 = ris.positions[0, 0]
+    alpha = np.arctan2(-x0, f) if tilted else 0.0
+    c, s = np.cos(alpha), np.sin(alpha)
+    amaf = ElementLayout(n_a, (x0, f), (c, s), (s, -c))
+    scenario = Scenario(amaf=amaf, ris=ris, feed_style="end", f=f,
+                        tilted=tilted)
+    z = amaf.positions[:, 1]
+    if np.any(z <= 0):
+        raise ValueError(
+            f"tilted feeder reaches the surface: {np.count_nonzero(z <= 0)}"
+            f" of {n_a} elements at z <= 0 (min z {z.min():.6g});"
+            f" increase f or use fewer feeder elements")
+    return scenario

@@ -91,10 +91,7 @@ def svd_modes(T: PropagationMatrix) -> ModeAnalysis:
 
 def power_transfer(T: PropagationMatrix, b: BeamVector) -> float:
     """Power delivered to the surface by a unit-power feeder excitation."""
-    if b.weights.shape[0] != T.n_a:
-        raise ValueError(
-            f"beam length {b.weights.shape[0]} != feeder size {T.n_a}")
-    return float(np.linalg.norm(T.entries @ b.weights) ** 2)
+    return float(np.linalg.norm(T.apply(b.weights)) ** 2)
 
 
 def nonpem_vector(v1: BeamVector) -> BeamVector:

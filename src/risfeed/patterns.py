@@ -98,9 +98,7 @@ def amaf_pattern(b: BeamVector, angles_deg=None) -> PatternCurve:
 
 def ris_excitation(T: PropagationMatrix, b: BeamVector) -> ExcitationProfile:
     """Incident magnitude on each surface element for a feeder excitation."""
-    if b.weights.shape[0] != T.n_a:
-        raise ValueError("beam length does not match feeder size")
-    e = T.entries @ b.weights
+    e = T.apply(b.weights)
     return ExcitationProfile(magnitudes=np.abs(e),
                              element_index=np.arange(1, T.n_p + 1))
 
@@ -110,17 +108,15 @@ def ris_pattern(T: PropagationMatrix, b: BeamVector,
     """Surface power pattern for a feeder excitation.
 
     Each surface element cancels the incident phase, so the effective
-    aperture vector is |T b| and the beam points broadside. The aperture
-    is not renormalized: dBi values include the feeder-to-surface
+    surface weights are |T b| and the beam points broadside. The weights
+    are not renormalized: dBi values include the feeder-to-surface
     propagation loss.
     """
-    if b.weights.shape[0] != T.n_a:
-        raise ValueError("beam length does not match feeder size")
-    if angles_deg is None:
-        angles_deg = default_grid()
-    x = np.abs(T.entries @ b.weights)
+    x = np.abs(T.apply(b.weights))
     if not np.any(x > 0):
         raise ValueError("all-zero surface excitation")
+    if angles_deg is None:
+        angles_deg = default_grid()
     power = _array_pattern(x, angles_deg)
     return _curve_from_power(np.array(angles_deg, dtype=float), power)
 

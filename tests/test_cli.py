@@ -148,6 +148,17 @@ class TestAnalyze:
         assert rep["scenario"]["tilted"] is True
         assert len(rep["v1_re"]) == 4
 
+    def test_tilted_feeder_below_surface(self, capsys, tmp_path):
+        out = tmp_path / "o"
+        for cmd in ("analyze", "profile"):
+            rc = run_cli(cmd, "--na", "16", "--np", "8", "--f", "1",
+                         "--feed", "end", "--tilted", "--out", str(out))
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: tilted feeder reaches the surface")
+            assert "Traceback" not in err
+            assert not out.exists()
+
 
 class TestTable:
     def test_deterministic_output(self, tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from risfeed.geometry import (ElementLayout, Scenario, build_linear_array,
-                              make_center_feed, make_end_feed)
+from risfeed.geometry import (ElementLayout, Scenario, make_center_feed,
+                              make_end_feed)
 from risfeed.coupling import element_gain, _pair_geometry, build_T
 from risfeed.modes import svd_modes
 
@@ -94,8 +94,8 @@ class TestBuildT:
     def test_back_to_back_entries_are_zero(self):
         # both arrays facing away from each other: every pair has both
         # angles past 90 degrees
-        amaf = build_linear_array(2, (0, 8), (1, 0), (0, 1))
-        ris = build_linear_array(4, (0, 0), (1, 0), (0, -1))
+        amaf = ElementLayout(2, (0, 8), (1, 0), (0, 1))
+        ris = ElementLayout(4, (0, 0), (1, 0), (0, -1))
         sc = Scenario(amaf=amaf, ris=ris, feed_style="center", f=8)
         T = build_T(sc)
         assert np.all(T.entries == 0)
@@ -106,8 +106,8 @@ class TestBuildT:
         assert s1_db == pytest.approx(-10.34, abs=0.05)
 
     def test_coincident_elements_rejected(self):
-        amaf = build_linear_array(1, (0, 0), (1, 0), (0, -1))
-        ris = build_linear_array(3, (0, 0), (1, 0), (0, 1))
+        amaf = ElementLayout(1, (0, 0), (1, 0), (0, -1))
+        ris = ElementLayout(3, (0, 0), (1, 0), (0, 1))
         sc = Scenario(amaf=amaf, ris=ris, feed_style="center", f=1)
         with pytest.raises(ValueError,
                            match="coincident elements: surface 1, feeder 0"):

@@ -1,53 +1,48 @@
 import numpy as np
 import pytest
 
-from risfeed.geometry import (ElementLayout, Scenario, build_linear_array,
-                              make_center_feed, make_end_feed)
+from risfeed.geometry import (ElementLayout, Scenario, make_center_feed,
+                              make_end_feed)
 
 
 class TestBuildLinearArray:
     def test_single_element_at_centroid(self):
-        arr = build_linear_array(1, (0, 0), (1, 0), (0, 1))
+        arr = ElementLayout(1, (0, 0), (1, 0), (0, 1))
         assert arr.n == 1
         assert np.allclose(arr.positions, [[0, 0]])
 
     def test_eight_elements_symmetric(self):
-        arr = build_linear_array(8, (0, 0), (1, 0), (0, 1))
+        arr = ElementLayout(8, (0, 0), (1, 0), (0, 1))
         assert np.allclose(arr.positions[:, 0],
                            [-3.5, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 3.5])
         assert np.allclose(arr.positions[:, 1], 0.0)
 
     def test_four_elements_offset_centroid(self):
-        arr = build_linear_array(4, (0, 8), (1, 0), (0, -1))
+        arr = ElementLayout(4, (0, 8), (1, 0), (0, -1))
         assert np.allclose(arr.positions[:, 0], [-1.5, -0.5, 0.5, 1.5])
         assert np.allclose(arr.positions[:, 1], 8.0)
 
     def test_centroid_property(self):
-        arr = build_linear_array(5, (2, 3), (0, 1), (1, 0))
+        arr = ElementLayout(5, (2, 3), (0, 1), (1, 0))
         assert np.allclose(arr.centroid, [2, 3])
 
     def test_rejects_zero_elements(self):
         with pytest.raises(ValueError):
-            build_linear_array(0, (0, 0), (1, 0), (0, 1))
+            ElementLayout(0, (0, 0), (1, 0), (0, 1))
 
     def test_rejects_non_orthogonal_axis(self):
         with pytest.raises(ValueError):
-            build_linear_array(4, (0, 0), (1, 0), (1, 0))
+            ElementLayout(4, (0, 0), (1, 0), (1, 0))
 
     def test_rejects_non_unit_axis(self):
         with pytest.raises(ValueError):
-            build_linear_array(4, (0, 0), (2, 0), (0, 1))
+            ElementLayout(4, (0, 0), (2, 0), (0, 1))
 
 
 class TestElementLayout:
     def test_rejects_non_unit_boresight(self):
         with pytest.raises(ValueError):
-            ElementLayout(np.array([[0.0, 0.0]]), np.array([0.0, 2.0]))
-
-    def test_rejects_nonuniform_spacing(self):
-        pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.5, 0.0]])
-        with pytest.raises(ValueError):
-            ElementLayout(pos, np.array([0.0, 1.0]))
+            ElementLayout(1, (0, 0), (1, 0), (0, 2))
 
 
 class TestCenterFeed:
@@ -123,6 +118,15 @@ class TestEndFeed:
             for tilted in (False, True):
                 with pytest.raises(ValueError):
                     make_end_feed(4, 32, f, tilted)
+
+    def test_rejects_tilted_feeder_below_surface(self):
+        # 7 of 16 elements rotate to z < 0 (min z -6.21)
+        with pytest.raises(ValueError, match=r"7 of 16 elements at z <= 0"):
+            make_end_feed(16, 8, 1, tilted=True)
+        # the same feeder flat, or tilted at a larger f, stays above it
+        assert make_end_feed(16, 8, 1, tilted=False).amaf.n == 16
+        sc = make_end_feed(16, 32, 8, tilted=True)
+        assert 0 < sc.amaf.positions[:, 1].min() < 2
 
 
 class TestScenario:

@@ -119,7 +119,7 @@ class TestPowerTransfer:
 
     def test_dimension_mismatch(self):
         _, T, _ = modes_for(4, 8, 8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="beam length 2 != feeder size 4"):
             power_transfer(T, BeamVector(np.array([1.0, 0.0])))
 
     def test_variational_bound_random_vectors(self):

@@ -202,8 +202,10 @@ class TestRisExcitation:
 
     def test_dimension_mismatch(self):
         T, _ = end_feed_setup(8, 4.0)
-        with pytest.raises(ValueError):
-            ris_excitation(T, BeamVector(np.array([1.0, 0.0])))
+        for fn in (ris_excitation, ris_pattern):
+            with pytest.raises(ValueError,
+                               match="beam length 2 != feeder size 4"):
+                fn(T, BeamVector(np.array([1.0, 0.0])))
 
 
 class TestRisPattern:

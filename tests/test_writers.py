@@ -99,7 +99,7 @@ class TestTableCsv:
     @pytest.mark.parametrize("n_a,n_p_list,f_list,feed,tilted", [
         (2, [4, 8], [4.0, 8.0], "center", False),       # nan padding
         (1, [1], [8.0], "center", False),
-        (16, [8, 32], [4.0, 120.0], "end", True),       # N_p < N_a: inf cond
+        (16, [8, 32], [8.0, 120.0], "end", True),       # N_p < N_a: inf cond
         (4, [2, 8], [4.0], "center", False),            # sigma3, 4: -inf
         (4, [8, 16, 32], [4.0, 8.0, 40.0, 80.0, 120.0], "center", False),
     ])
