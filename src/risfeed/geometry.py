@@ -14,6 +14,10 @@ import numpy as np
 _UNIT_TOL = 1e-12
 
 
+class FeederBelowSurfaceError(ValueError):
+    """A tilted end-feed feeder with an element at or below z = 0."""
+
+
 @dataclass(frozen=True)
 class ElementLayout:
     """A rigid uniform linear array of n elements, lambda/2 apart.
@@ -103,7 +107,7 @@ def make_end_feed(n_a, n_p, f, tilted):
                         tilted=tilted)
     z = amaf.positions[:, 1]
     if np.any(z <= 0):
-        raise ValueError(
+        raise FeederBelowSurfaceError(
             f"tilted feeder reaches the surface: {np.count_nonzero(z <= 0)}"
             f" of {n_a} elements at z <= 0 (min z {z.min():.6g});"
             f" increase f or use fewer feeder elements")

@@ -9,6 +9,7 @@ of the same call, takes the same phase.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,9 +122,15 @@ def mode_metrics(modes: ModeAnalysis, scenario: Scenario) -> ModeMetrics:
                        f_over_d=scenario.f_over_d)
 
 
+def _finite_or_none(x):
+    return x if math.isfinite(x) else None
+
+
 def mode_report(modes: ModeAnalysis, metrics: ModeMetrics,
                 scenario: Scenario) -> dict:
-    """JSON-ready report of one scenario's mode analysis."""
+    """JSON-ready report of one scenario's mode analysis; an undefined
+    value (the dB of a zero sigma, the cond of a rank-deficient T) is
+    None, so the file is strict JSON."""
     v1 = modes.right_vectors[:, 0]
     return {
         "scenario": {
@@ -133,9 +140,9 @@ def mode_report(modes: ModeAnalysis, metrics: ModeMetrics,
             "feed": scenario.feed_style,
             "tilted": scenario.tilted,
         },
-        "sigma_sq_db": list(metrics.sigma_sq_db),
+        "sigma_sq_db": [_finite_or_none(x) for x in metrics.sigma_sq_db],
         "sum_db": metrics.sum_db,
-        "cond": metrics.cond,
+        "cond": _finite_or_none(metrics.cond),
         "l_iso_db": metrics.l_iso_db,
         "f_over_d": metrics.f_over_d,
         "v1_re": v1.real.tolist(),
@@ -144,6 +151,6 @@ def mode_report(modes: ModeAnalysis, metrics: ModeMetrics,
 
 
 def write_mode_report(report: dict, path):
+    text = json.dumps(report, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -66,11 +66,14 @@ def _curve_from_power(angles_deg, power_lin):
                         peak_dbi=float(peak))
 
 
-# The last (n, theta, steering rows, element gain) built: a sweep draws
-# every curve on one grid, so each later curve costs one matrix-vector
-# product. One entry bounds the memory (7.4 MB at n=128 on the default
-# grid); the cell's tuple is replaced whole, never edited.
-_steering = [(0, np.empty(0), np.empty((0, 0), dtype=complex), np.empty(0))]
+# (theta, steering rows, element gain) for the widest array drawn on the
+# current grid. Column k of the steering rows depends on k and theta
+# only, so an n-element array uses the first n columns (a view, no
+# copy): feeder and surface curves on one grid share a single matrix.
+# One matrix is held, at most 590 MB at the CLI caps (36001 angles x
+# 1024 elements); the cell's tuple is replaced whole, never edited.
+_NO_ROWS = np.empty((0, 0), dtype=complex)
+_steering = [(np.empty(0), _NO_ROWS, np.empty(0))]
 
 
 def _array_pattern(weights, angles_deg):
@@ -78,14 +81,19 @@ def _array_pattern(weights, angles_deg):
     theta = np.radians(np.asarray(angles_deg, dtype=float))
     if theta.size == 0:
         raise ValueError("empty angle grid")
-    n, memo_theta, rows, gain = _steering[0]
+    n = len(weights)
+    memo_theta, rows, gain = _steering[0]
     # keyed by value: theta is a fresh array, so no caller can mutate the
     # key, and array ids are reused after garbage collection
-    if n != len(weights) or not np.array_equal(memo_theta, theta):
-        n = len(weights)
-        rows, gain = steering_vector(n, theta), element_gain(theta)
-        _steering[0] = (n, theta, rows, gain)
-    return np.abs(rows @ weights) ** 2 * gain
+    if not np.array_equal(memo_theta, theta):
+        rows, gain = _NO_ROWS, element_gain(theta)
+    if n > rows.shape[1]:
+        # free the old matrix before the wider one is built
+        rows = _NO_ROWS
+        _steering[0] = (theta, rows, gain)
+        rows = steering_vector(n, theta)
+        _steering[0] = (theta, rows, gain)
+    return np.abs(rows[:, :n] @ weights) ** 2 * gain
 
 
 def amaf_pattern(b: BeamVector, angles_deg=None) -> PatternCurve:

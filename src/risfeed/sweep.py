@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import make_center_feed, make_end_feed
+from .geometry import (FeederBelowSurfaceError, make_center_feed,
+                       make_end_feed)
 from .coupling import _write_csv, build_T
 from .modes import (svd_modes, mode_metrics, power_transfer, nonpem_vector,
                     ModeMetrics)
@@ -83,8 +84,9 @@ def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
     """Exhaustive scan of feeder distances under one objective.
 
     Returns (best_f, trace) where trace is a list of (f, objective value)
-    in scan order. Grid points where the objective is undefined (e.g. a
-    pattern without sidelobes) are skipped. Ties go to the smaller f.
+    in scan order. Where the objective is undefined (a pattern without
+    sidelobes, or a tilted feeder reaching the surface) the value is
+    None and the point cannot win. Ties go to the smaller f.
     """
     f_values = list(f_values)
     if not f_values:
@@ -94,7 +96,11 @@ def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
     best_f, best_val = None, None
     trace = []
     for f in sorted(f_values):
-        _, T, modes, _ = analyze_point(n_a, n_p, f, feed_style, tilted)
+        try:
+            _, T, modes, _ = analyze_point(n_a, n_p, f, feed_style, tilted)
+        except FeederBelowSurfaceError:
+            trace.append((f, None))
+            continue
         b = _beam_for(modes, beam)
         if objective == "max_power":
             val = power_transfer(T, b)

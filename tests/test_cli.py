@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from risfeed.cli import main
+from risfeed.sweep import optimize_f
 
 
 def run_cli(*argv):
@@ -160,6 +161,23 @@ class TestAnalyze:
             assert not out.exists()
 
 
+    def test_rank_deficient_report_is_strict_json(self, tmp_path):
+        # N_p=2 < N_a=4: sigma_3 = sigma_4 = 0, so their dB and cond are
+        # undefined
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", "--na", "4", "--np", "2", "--f", "8",
+                       "--out", str(out)) == 0
+        text = out.read_text()
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+        rep = json.loads(text, parse_constant=reject)
+        assert text.count("null") == 3
+        assert rep["sigma_sq_db"][2:] == [None, None]
+        assert rep["cond"] is None
+        assert all(isinstance(x, float) for x in rep["sigma_sq_db"][:2])
+
+
 class TestTable:
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -228,6 +246,26 @@ class TestSweepF:
         assert lines[0] == "f,max_power,is_best"
         assert len(lines) == 5
         assert lines[1].endswith(",1")
+
+
+    def test_infeasible_tilted_points_are_empty_rows(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        rc = run_cli("sweep-f", "--na", "16", "--np", "8", "--feed", "end",
+                     "--tilted", "--f-min", "1", "--f-max", "20",
+                     "--f-step", "1", "--out", str(out))
+        assert rc == 0
+        rows = [line.split(",") for line in
+                out.read_text().strip().splitlines()[1:]]
+        assert [float(f) for f, _, _ in rows] == list(range(1, 21))
+        assert [(v, best) for _, v, best in rows[:4]] == [("", "0")] * 4
+        vals = []
+        for f, v, _ in rows[4:]:
+            _, trace = optimize_f(16, 8, "end", True, "nonpem", [float(f)])
+            assert v == "%.9e" % trace[0][1]
+            vals.append(trace[0][1])
+        first_min = 4 + vals.index(min(vals))
+        assert [best for _, _, best in rows] == [
+            "1" if i == first_min else "0" for i in range(20)]
 
 
 class TestConfigFile:

@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import risfeed
+from risfeed import patterns
+from risfeed.cli import main
 from risfeed.geometry import make_center_feed, make_end_feed
 from risfeed.coupling import build_T, element_gain
 from risfeed.modes import BeamVector, svd_modes, nonpem_vector, power_transfer
@@ -97,6 +106,104 @@ class TestSteeringReuse:
             b = nonpem_vector(m.beam(0))
             amaf_pattern(b, coarse)     # leave another grid behind
             assert sidelobe_level(ris_pattern(T, b)) == val
+
+
+    # the widest-matrix memo: one steering matrix per grid, narrower
+    # arrays use its first n columns
+
+    @staticmethod
+    def reset_memo():
+        patterns._steering[0] = (np.empty(0), patterns._NO_ROWS, np.empty(0))
+
+    @staticmethod
+    def surface(n_p):
+        T = build_T(make_center_feed(4, n_p, 80.0))
+        return T, svd_modes(T).beam(0)
+
+    def test_growing_memo_matches_cold_builds(self):
+        grid = default_grid()
+        shifted = grid + 0.025   # same length, other angles
+        _, b4 = self.surface(8)
+        surfaces = {n: self.surface(n) for n in (96, 160, 200)}
+
+        def ris(n):
+            return lambda: ris_pattern(*surfaces[n], grid)
+
+        calls = [("ris 160", ris(160)),
+                 ("amaf 4", lambda: amaf_pattern(b4, grid)),
+                 ("ris 96", ris(96)), ("ris 160", ris(160)),
+                 ("ris 200", ris(200)),
+                 ("amaf 4 shifted", lambda: amaf_pattern(b4, shifted))]
+        self.reset_memo()
+        warm = [call().power_dbi for _, call in calls]
+        assert patterns._steering[0][1].shape[1] == 4
+        for (name, call), got in zip(calls, warm):
+            self.reset_memo()
+            assert np.array_equal(got, call().power_dbi), name
+
+    def test_narrower_and_equal_arrays_reuse_widest_matrix(self):
+        grid = default_grid(0.5)
+        T, b = self.surface(200)
+        self.reset_memo()
+        ris_pattern(T, b, grid)
+        rows = patterns._steering[0][1]
+        assert rows.shape == (grid.size, 200)
+        ris_pattern(T, b, grid)
+        ris_pattern(*self.surface(96), grid)
+        amaf_pattern(b, grid)
+        assert patterns._steering[0][1] is rows
+
+    def test_grid_change_frees_widest_matrix(self):
+        T, b = self.surface(200)
+        self.reset_memo()
+        ris_pattern(T, b)
+        widest = weakref.ref(patterns._steering[0][1])
+        assert widest() is not None
+        amaf_pattern(b, default_grid(0.5))
+        assert widest() is None
+        assert patterns._steering[0][1].shape[1] == 4
+
+    def test_growth_frees_old_matrix_before_build(self, monkeypatch):
+        grid = default_grid(0.5)
+        self.reset_memo()
+        ris_pattern(*self.surface(96), grid)
+        old = weakref.ref(patterns._steering[0][1])
+        alive, gains = [], []
+        build, gain = patterns.steering_vector, patterns.element_gain
+
+        def spy_build(n, theta):
+            alive.append(old() is not None)
+            return build(n, theta)
+
+        def spy_gain(theta):
+            gains.append(theta)
+            return gain(theta)
+
+        monkeypatch.setattr(patterns, "steering_vector", spy_build)
+        monkeypatch.setattr(patterns, "element_gain", spy_gain)
+        ris_pattern(*self.surface(160), grid)
+        assert alive == [False]
+        assert gains == []     # same grid: the gain is kept
+        assert patterns._steering[0][1].shape == (grid.size, 160)
+
+    def test_cli_patterns_match_fresh_interpreters(self, tmp_path):
+        commands = ["pattern --array ris --np 160 --f 80",
+                    "pattern --np 128 --f 80",
+                    "pattern --array ris --np 128 --f 80"]
+        self.reset_memo()
+        for i, command in enumerate(commands):
+            warm = tmp_path / f"w{i}"
+            assert main(command.split() + ["--out", str(warm)]) == 0
+        src = str(Path(risfeed.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for i, command in enumerate(commands):
+            cold = tmp_path / f"c{i}"
+            subprocess.run([sys.executable, "-m", "risfeed.cli"]
+                           + command.split() + ["--out", str(cold)],
+                           env=env, check=True)
+            assert (tmp_path / f"w{i}").read_bytes() == cold.read_bytes(), \
+                command
 
 
 class TestAmafPattern:

@@ -143,3 +143,26 @@ class TestOptimizeF:
         assert lines[0] == "f,max_power,is_best"
         assert lines[1].endswith(",1")      # best at the smaller f
         assert lines[2].endswith(",0")
+
+    def test_infeasible_tilted_points_are_undefined(self):
+        # a 16-element feeder tilted at f < 5 reaches the surface
+        f_values = [float(f) for f in range(1, 21)]
+        best, trace = optimize_f(16, 8, "end", True, "nonpem", f_values)
+        assert [f for f, _ in trace] == f_values
+        assert [v for _, v in trace[:4]] == [None] * 4
+        for f, val in trace[4:]:
+            _, one = optimize_f(16, 8, "end", True, "nonpem", [f])
+            assert one == [(f, val)]
+        vals = [v for _, v in trace[4:]]
+        assert best == f_values[4 + vals.index(min(vals))]
+
+    def test_no_feasible_point_raises(self):
+        with pytest.raises(RuntimeError, match="undefined at every grid"):
+            optimize_f(16, 8, "end", True, "nonpem", [1.0, 2.0, 3.0])
+
+    def test_other_errors_stop_the_scan(self, monkeypatch):
+        def broken(scenario):
+            raise ValueError("coincident elements")
+        monkeypatch.setattr("risfeed.sweep.build_T", broken)
+        with pytest.raises(ValueError, match="coincident elements"):
+            optimize_f(4, 8, "end", True, "nonpem", [8.0, 16.0])
