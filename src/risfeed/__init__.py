@@ -8,10 +8,9 @@ from .coupling import PropagationMatrix, element_gain, build_T
 from .modes import (BeamVector, ModeAnalysis, ModeMetrics, svd_modes,
                     power_transfer, mode_metrics, nonpem_vector,
                     isotropic_loss_db)
-from .patterns import (PatternCurve, ExcitationProfile, steering_vector,
-                       amaf_pattern, ris_excitation, ris_pattern,
-                       sidelobe_level, default_grid)
-from .sweep import (SweepRecord, run_grid, convergence_study, optimize_f,
-                    analyze_point)
+from .patterns import (PatternCurve, steering_vector, amaf_pattern,
+                       ris_excitation, ris_pattern, sidelobe_level,
+                       default_grid)
+from .sweep import SweepRecord, run_grid, optimize_f, analyze_point
 
 __version__ = "0.1.0"

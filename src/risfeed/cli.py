@@ -47,7 +47,7 @@ def _checked(kind, ok, rule):
             value = kind(text)
             if ok(value):
                 return value
-        except ValueError:
+        except (ValueError, OverflowError):
             pass
         raise argparse.ArgumentTypeError(f"{text!r}: must be {rule}")
     return parse
@@ -69,8 +69,9 @@ _distance = _checked(float, lambda x: math.isfinite(x) and x > 0,
                      "positive and finite")
 _grid_step = _checked(
     float, lambda x: math.isfinite(x) and x > 0
-    and 180.0 / x <= MAX_GRID_POINTS - 1,
-    f"positive and give at most {MAX_GRID_POINTS} angles")
+    and 2 <= round(180.0 / x) <= MAX_GRID_POINTS - 1,
+    f"positive and, rounded to divide 180 evenly, give 3 to "
+    f"{MAX_GRID_POINTS} angles")
 
 
 def _build_parser():
@@ -112,7 +113,8 @@ def _build_parser():
                     help="which array's pattern to emit")
     sp.add_argument("--grid-step", type=_grid_step,
                     default=DEFAULT_GRID_STEP_DEG,
-                    help="angle grid step in degrees")
+                    help="angle grid step in degrees, rounded to "
+                         "divide 180 evenly")
     command("profile", "surface excitation profile (CSV)", beam="pem")
     sp = command("sweep-f", "feeder-distance optimization (CSV)", f=False,
                  feed="end", beam="nonpem")

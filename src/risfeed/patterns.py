@@ -36,14 +36,6 @@ class PatternCurve:
     peak_dbi: float
 
 
-@dataclass(frozen=True)
-class ExcitationProfile:
-    """Per-element excitation magnitude across the surface (1-based)."""
-
-    magnitudes: np.ndarray
-    element_index: np.ndarray
-
-
 def steering_vector(n, theta):
     """Conjugated uniform-array steering vector for angle theta (radians).
 
@@ -52,18 +44,6 @@ def steering_vector(n, theta):
     if n < 1:
         raise ValueError("n must be >= 1")
     return np.exp(-1j * np.pi * np.multiply.outer(np.sin(theta), np.arange(n)))
-
-
-def _curve_from_power(angles_deg, power_lin):
-    power_lin = np.maximum(power_lin, _POWER_FLOOR)
-    power_dbi = 10.0 * np.log10(power_lin)
-    k = int(np.argmax(power_dbi))
-    peak = power_dbi[k]
-    return PatternCurve(angles_deg=angles_deg,
-                        power_dbi=power_dbi,
-                        power_norm_db=power_dbi - peak,
-                        peak_angle_deg=float(angles_deg[k]),
-                        peak_dbi=float(peak))
 
 
 # (theta, steering rows, element gain) for the widest array drawn on the
@@ -76,9 +56,13 @@ _NO_ROWS = np.empty((0, 0), dtype=complex)
 _steering = [(np.empty(0), _NO_ROWS, np.empty(0))]
 
 
-def _array_pattern(weights, angles_deg):
-    """|sum_k w_k exp(-j pi k sin(theta))|^2 * E(theta) per grid angle."""
-    theta = np.radians(np.asarray(angles_deg, dtype=float))
+def _pattern(weights, angles_deg):
+    """Curve of |sum_k w_k exp(-j pi k sin(theta))|^2 * E(theta) over the
+    given angles (default grid if None)."""
+    if angles_deg is None:
+        angles_deg = default_grid()
+    angles_deg = np.array(angles_deg, dtype=float)
+    theta = np.radians(angles_deg)
     if theta.size == 0:
         raise ValueError("empty angle grid")
     n = len(weights)
@@ -93,22 +77,26 @@ def _array_pattern(weights, angles_deg):
         _steering[0] = (theta, rows, gain)
         rows = steering_vector(n, theta)
         _steering[0] = (theta, rows, gain)
-    return np.abs(rows[:, :n] @ weights) ** 2 * gain
+    power = np.maximum(np.abs(rows[:, :n] @ weights) ** 2 * gain,
+                       _POWER_FLOOR)
+    power_dbi = 10.0 * np.log10(power)
+    k = int(np.argmax(power_dbi))
+    peak = power_dbi[k]
+    return PatternCurve(angles_deg=angles_deg,
+                        power_dbi=power_dbi,
+                        power_norm_db=power_dbi - peak,
+                        peak_angle_deg=float(angles_deg[k]),
+                        peak_dbi=float(peak))
 
 
 def amaf_pattern(b: BeamVector, angles_deg=None) -> PatternCurve:
     """Feeder power pattern: array factor times the patch element factor."""
-    if angles_deg is None:
-        angles_deg = default_grid()
-    power = _array_pattern(b.weights, angles_deg)
-    return _curve_from_power(np.array(angles_deg, dtype=float), power)
+    return _pattern(b.weights, angles_deg)
 
 
-def ris_excitation(T: PropagationMatrix, b: BeamVector) -> ExcitationProfile:
+def ris_excitation(T: PropagationMatrix, b: BeamVector) -> np.ndarray:
     """Incident magnitude on each surface element for a feeder excitation."""
-    e = T.apply(b.weights)
-    return ExcitationProfile(magnitudes=np.abs(e),
-                             element_index=np.arange(1, T.n_p + 1))
+    return np.abs(T.apply(b.weights))
 
 
 def ris_pattern(T: PropagationMatrix, b: BeamVector,
@@ -123,10 +111,7 @@ def ris_pattern(T: PropagationMatrix, b: BeamVector,
     x = np.abs(T.apply(b.weights))
     if not np.any(x > 0):
         raise ValueError("all-zero surface excitation")
-    if angles_deg is None:
-        angles_deg = default_grid()
-    power = _array_pattern(x, angles_deg)
-    return _curve_from_power(np.array(angles_deg, dtype=float), power)
+    return _pattern(x, angles_deg)
 
 
 def sidelobe_level(curve: PatternCurve):
@@ -159,9 +144,9 @@ def write_pattern_csv(curve: PatternCurve, path):
                [curve.angles_deg, curve.power_dbi, curve.power_norm_db])
 
 
-def write_profile_csv(profile: ExcitationProfile, path):
-    m = profile.magnitudes
+def write_profile_csv(magnitudes, path):
+    """Surface excitation magnitudes, elements numbered from 1."""
     _write_csv(path, ["element_index", "magnitude", "magnitude_db"],
                "%d,%.12e,%.6f",
-               [profile.element_index, m,
-                20.0 * np.log10(np.maximum(m, 1e-300))])
+               [np.arange(1, magnitudes.size + 1), magnitudes,
+                20.0 * np.log10(np.maximum(magnitudes, 1e-300))])

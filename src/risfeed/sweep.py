@@ -1,5 +1,5 @@
-"""Grid sweeps over feed scenarios: power-transfer tables, convergence
-with surface size, and exhaustive scans for the best feeder distance."""
+"""Grid sweeps over feed scenarios: power-transfer tables and exhaustive
+scans for the best feeder distance."""
 
 from dataclasses import dataclass
 
@@ -26,15 +26,16 @@ class SweepRecord:
     metrics: ModeMetrics
 
 
-def _make_scenario(n_a, n_p, f, feed_style, tilted):
-    if feed_style == "center":
-        return make_center_feed(n_a, n_p, f)
-    return make_end_feed(n_a, n_p, f, tilted)
-
-
 def analyze_point(n_a, n_p, f, feed_style, tilted=False):
-    """Mode analysis plus metrics for one grid point."""
-    scenario = _make_scenario(n_a, n_p, f, feed_style, tilted)
+    """Mode analysis plus metrics for one grid point: an "end" feed,
+    tilted or not, or an untilted "center" feed."""
+    if feed_style == "end":
+        scenario = make_end_feed(n_a, n_p, f, tilted)
+    elif feed_style == "center" and not tilted:
+        scenario = make_center_feed(n_a, n_p, f)
+    else:
+        raise ValueError(f"feed {feed_style!r} (tilted={tilted}) is not "
+                         f"'end' or an untilted 'center'")
     T = build_T(scenario)
     modes = svd_modes(T)
     metrics = mode_metrics(modes, scenario)
@@ -60,23 +61,22 @@ def run_grid(n_a, n_p_list, f_list, feed_style, tilted=False):
     return records
 
 
-def convergence_study(n_a, f, n_p_list):
-    """Total eigenmode power (dB) vs surface size, center feed."""
-    if not n_p_list:
-        raise ValueError("n_p_list must be non-empty")
-    out = []
-    for n_p in n_p_list:
-        _, _, _, metrics = analyze_point(n_a, n_p, f, "center")
-        out.append((n_p, metrics.sum_db))
-    return out
-
-
 def _beam_for(modes, beam):
     if beam == "pem":
         return modes.beam(0)
     if beam == "nonpem":
         return nonpem_vector(modes.beam(0))
     raise ValueError(f"unknown beam {beam!r}")
+
+
+def _score(objective, T, b):
+    """Objective value of one feeder excitation; None where undefined."""
+    if objective == "max_power":
+        return power_transfer(T, b)
+    if objective == "min_sll":
+        return sidelobe_level(ris_pattern(T, b))
+    mags = ris_excitation(T, b)
+    return float(np.std(mags) / np.mean(mags))
 
 
 def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
@@ -93,7 +93,6 @@ def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
         raise ValueError("f range must be non-empty")
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    best_f, best_val = None, None
     trace = []
     for f in sorted(f_values):
         try:
@@ -101,26 +100,13 @@ def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
         except FeederBelowSurfaceError:
             trace.append((f, None))
             continue
-        b = _beam_for(modes, beam)
-        if objective == "max_power":
-            val = power_transfer(T, b)
-            better = best_val is None or val > best_val
-        elif objective == "min_sll":
-            sll = sidelobe_level(ris_pattern(T, b))
-            if sll is None:
-                trace.append((f, None))
-                continue
-            val = sll
-            better = best_val is None or val < best_val
-        else:
-            mags = ris_excitation(T, b).magnitudes
-            val = float(np.std(mags) / np.mean(mags))
-            better = best_val is None or val < best_val
-        trace.append((f, val))
-        if better:
-            best_f, best_val = f, val
-    if best_f is None:
+        trace.append((f, _score(objective, T, _beam_for(modes, beam))))
+    sign = -1 if objective == "max_power" else 1
+    defined = [(f, val) for f, val in trace if val is not None]
+    if not defined:
         raise RuntimeError("objective undefined at every grid point")
+    # min keeps the first of equal keys: ties go to the smaller f
+    best_f, _ = min(defined, key=lambda row: sign * row[1])
     return best_f, trace
 
 

@@ -92,11 +92,11 @@ def csv_write_pattern(curve, path):
             w.writerow([f"{a:.6f}", f"{p:.6f}", f"{pn:.6f}"])
 
 
-def csv_write_profile(profile, path):
+def csv_write_profile(magnitudes, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["element_index", "magnitude", "magnitude_db"])
-        for i, m in zip(profile.element_index, profile.magnitudes):
+        for i, m in enumerate(magnitudes, start=1):
             m_db = 20.0 * np.log10(max(m, 1e-300))
             w.writerow([int(i), f"{m:.12e}", f"{m_db:.6f}"])
 

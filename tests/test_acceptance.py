@@ -11,7 +11,7 @@ from risfeed.modes import (BeamVector, svd_modes, mode_metrics,
                            power_transfer, nonpem_vector, isotropic_loss_db)
 from risfeed.patterns import (amaf_pattern, ris_pattern, sidelobe_level,
                               default_grid)
-from risfeed.sweep import convergence_study, analyze_point
+from risfeed.sweep import analyze_point, run_grid
 
 from oracles import one_sided_jacobi_svd, brute_force_sidelobe
 
@@ -181,9 +181,10 @@ def test_criterion_3_isotropic_loss():
 def test_criterion_4_convergence_with_surface_size():
     failures = []
     expected = {16: -6.6, 32: -6.3, 64: -6.22, 128: -6.22}
-    for n_p, sum_db in convergence_study(4, 8.0, list(expected)):
-        check(failures, abs(sum_db - expected[n_p]) <= 0.05,
-              f"N_p={n_p}: {sum_db:.4f} vs {expected[n_p]}")
+    for rec in run_grid(4, list(expected), [8.0], "center"):
+        sum_db = rec.metrics.sum_db
+        check(failures, abs(sum_db - expected[rec.n_p]) <= 0.05,
+              f"N_p={rec.n_p}: {sum_db:.4f} vs {expected[rec.n_p]}")
     finish("criterion 4: convergence study", failures)
 
 

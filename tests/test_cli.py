@@ -35,6 +35,11 @@ class TestUsageErrors:
             (("pattern",) + scen + ("--grid-step", "nan"), "--grid-step"),
             # 1.8e11 angles: rejected before any grid is allocated
             (("pattern",) + scen + ("--grid-step", "1e-9"), "--grid-step"),
+            # 180/step rounds to 1 and 0 intervals: no pattern to scan
+            (("pattern",) + scen + ("--grid-step", "130"), "--grid-step"),
+            (("pattern",) + scen + ("--grid-step", "1000"), "--grid-step"),
+            # 180/step overflows to inf
+            (("pattern",) + scen + ("--grid-step", "5e-324"), "--grid-step"),
             (sweep + ("--f-step", "0"), "--f-step"),
             (sweep + ("--f-step", "-1"), "--f-step"),
             (sweep + ("--f-step", "inf"), "--f-step"),
@@ -212,6 +217,18 @@ class TestPatternAndProfile:
         assert len(lines) == 362
         norm = [float(line.split(",")[2]) for line in lines[1:]]
         assert max(norm) == 0.0
+
+    @pytest.mark.parametrize("step,n_angles", [("90", 3), ("7", 27)])
+    def test_grid_step_rounded_to_divide_180(self, tmp_path, step, n_angles):
+        out = tmp_path / "pat.csv"
+        rc = run_cli("pattern", "--na", "4", "--np", "8", "--f", "8",
+                     "--grid-step", step, "--out", str(out))
+        assert rc == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        angles = [float(r.split(",")[0]) for r in rows]
+        assert len(angles) == n_angles
+        assert angles == pytest.approx(
+            np.linspace(-90.0, 90.0, n_angles).tolist(), abs=1e-6)
 
     def test_ris_pattern_variant(self, tmp_path):
         out = tmp_path / "ris.csv"

@@ -276,36 +276,38 @@ class TestRisExcitation:
     def test_parseval(self):
         T, m = end_feed_setup(32, 16.0)
         b = m.beam(0)
-        prof = ris_excitation(T, b)
-        assert np.sum(prof.magnitudes**2) == pytest.approx(
+        mags = ris_excitation(T, b)
+        assert np.sum(mags**2) == pytest.approx(
             power_transfer(T, b), rel=1e-12)
 
     def test_center_feed_palindromic(self):
         sc = make_center_feed(4, 16, 8)
         T = build_T(sc)
-        prof = ris_excitation(T, svd_modes(T).beam(0))
-        assert np.allclose(prof.magnitudes, prof.magnitudes[::-1], atol=1e-9)
+        mags = ris_excitation(T, svd_modes(T).beam(0))
+        assert np.allclose(mags, mags[::-1], atol=1e-9)
 
     def test_nonpem_flatter_than_pem(self):
         T, m = end_feed_setup()
         cv = lambda x: np.std(x) / np.mean(x)
-        pem = ris_excitation(T, m.beam(0)).magnitudes
-        nonpem = ris_excitation(T, nonpem_vector(m.beam(0))).magnitudes
+        pem = ris_excitation(T, m.beam(0))
+        nonpem = ris_excitation(T, nonpem_vector(m.beam(0)))
         assert cv(nonpem) < cv(pem)
 
     def test_frozen_profile_shape(self):
         # regression: peak element indices for the f=110 end feed
         T, m = end_feed_setup()
-        pem = ris_excitation(T, m.beam(0)).magnitudes
-        nonpem = ris_excitation(T, nonpem_vector(m.beam(0))).magnitudes
+        pem = ris_excitation(T, m.beam(0))
+        nonpem = ris_excitation(T, nonpem_vector(m.beam(0)))
         assert int(np.argmax(pem)) + 1 == 36
         assert int(np.argmax(nonpem)) + 1 == 53
 
-    def test_element_index_one_based(self):
+    def test_element_index_one_based(self, tmp_path):
         T, _ = end_feed_setup(8, 4.0)
-        prof = ris_excitation(T, BeamVector(np.eye(4)[0].astype(complex)))
-        assert prof.element_index[0] == 1
-        assert prof.element_index[-1] == 8
+        mags = ris_excitation(T, BeamVector(np.eye(4)[0].astype(complex)))
+        path = tmp_path / "e.csv"
+        write_profile_csv(mags, path)
+        rows = path.read_text().strip().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == list(range(1, 9))
 
     def test_dimension_mismatch(self):
         T, _ = end_feed_setup(8, 4.0)
@@ -420,9 +422,9 @@ class TestCsvOutput:
 
     def test_profile_csv(self, tmp_path):
         T, m = end_feed_setup(8, 4.0)
-        prof = ris_excitation(T, m.beam(0))
+        mags = ris_excitation(T, m.beam(0))
         path = tmp_path / "e.csv"
-        write_profile_csv(prof, path)
+        write_profile_csv(mags, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "element_index,magnitude,magnitude_db"
         assert len(lines) == 9

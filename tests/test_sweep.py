@@ -3,8 +3,12 @@ import filecmp
 import numpy as np
 import pytest
 
-from risfeed.sweep import (run_grid, convergence_study, optimize_f,
-                           write_table_csv, write_trace_csv, analyze_point)
+from risfeed.sweep import (OBJECTIVES, run_grid, optimize_f, write_table_csv,
+                           write_trace_csv, analyze_point)
+
+# feed styles analyze_point does not know: it builds only "end" (tilted
+# or not) and untilted "center"
+BAD_FEEDS = [("side", False), ("Center", False), ("center", True)]
 
 
 class TestRunGrid:
@@ -44,22 +48,44 @@ class TestRunGrid:
                           "sigma3_db,sigma4_db,sum_db,cond,l_iso_db,f_over_d")
 
 
+def sum_db_by_np(n_a, f, n_p_list):
+    """Total eigenmode power (dB) per surface size, center feed."""
+    return {rec.n_p: rec.metrics.sum_db
+            for rec in run_grid(n_a, n_p_list, [f], "center")}
+
+
+class TestFeedDispatch:
+    @pytest.mark.parametrize("feed,tilted", BAD_FEEDS)
+    def test_analyze_point_rejects_unknown_feed(self, feed, tilted):
+        with pytest.raises(ValueError, match=f"feed {feed!r}"):
+            analyze_point(4, 8, 8.0, feed, tilted)
+
+    @pytest.mark.parametrize("feed,tilted", BAD_FEEDS)
+    def test_run_grid_names_the_point(self, feed, tilted):
+        with pytest.raises(RuntimeError,
+                           match="grid point n_p=8 f=8.0 failed: feed"):
+            run_grid(4, [8], [8.0], feed, tilted)
+
+    @pytest.mark.parametrize("feed,tilted", BAD_FEEDS)
+    def test_optimize_f_raises_instead_of_undefined_row(self, feed, tilted):
+        for objective in OBJECTIVES:
+            with pytest.raises(ValueError, match=f"feed {feed!r}"):
+                optimize_f(4, 8, feed, tilted, "pem", [8.0, 16.0],
+                           objective)
+
+
 class TestConvergenceStudy:
     def test_large_surface_limit(self):
-        got = dict(convergence_study(4, 8.0, [16, 32, 64, 128]))
+        got = sum_db_by_np(4, 8.0, [16, 32, 64, 128])
         assert got[16] == pytest.approx(-6.6, abs=0.05)
         assert got[32] == pytest.approx(-6.3, abs=0.05)
         assert got[64] == pytest.approx(-6.22, abs=0.05)
         assert got[128] == pytest.approx(-6.22, abs=0.05)
 
     def test_small_surface_values(self):
-        got = dict(convergence_study(4, 8.0, [4, 8]))
+        got = sum_db_by_np(4, 8.0, [4, 8])
         assert got[4] == pytest.approx(-10.40, abs=0.05)
         assert got[8] == pytest.approx(-7.98, abs=0.05)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            convergence_study(4, 8.0, [])
 
 
 class TestDoublingBehavior:
@@ -103,10 +129,26 @@ class TestOptimizeF:
         assert best == 16.0
         assert trace == [(16.0, pytest.approx(trace[0][1]))]
 
-    def test_tie_goes_to_smaller_f(self):
-        best, _ = optimize_f(4, 8, "center", False, "pem", [8.0, 8.0],
-                             objective="max_power")
-        assert best == 8.0
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_tie_goes_to_smaller_f(self, objective, monkeypatch):
+        # every f scores alike, so each objective's rule must keep the
+        # first (smallest) f
+        monkeypatch.setattr("risfeed.sweep._score", lambda *args: -3.5)
+        best, trace = optimize_f(4, 8, "center", False, "pem",
+                                 [16.0, 4.0, 8.0, 8.0], objective=objective)
+        assert best == 4.0
+        assert trace == [(4.0, -3.5), (8.0, -3.5), (8.0, -3.5), (16.0, -3.5)]
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_best_is_first_extreme_of_defined_rows(self, objective):
+        # a 16-element tilted feeder reaches the surface at f < 5
+        f_values = [float(f) for f in range(1, 21)]
+        best, trace = optimize_f(16, 8, "end", True, "nonpem", f_values,
+                                 objective)
+        vals = [v for _, v in trace if v is not None]
+        assert 0 < len(vals) < len(trace)
+        extreme = max(vals) if objective == "max_power" else min(vals)
+        assert best == next(f for f, v in trace if v == extreme)
 
     def test_min_profile_variation_runs(self):
         best, trace = optimize_f(4, 32, "end", True, "nonpem",
