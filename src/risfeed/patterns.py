@@ -51,21 +51,27 @@ def steering_vector(n, theta):
 # only, so an n-element array uses the first n columns (a view, no
 # copy): feeder and surface curves on one grid share a single matrix.
 # One matrix is held, at most 590 MB at the CLI caps (36001 angles x
-# 1024 elements); the cell's tuple is replaced whole, never edited.
+# 1024 elements); the cell's tuple is replaced whole, never edited. The
+# product with k weight columns peaks at about 25 * k bytes per angle
+# (the complex field, then its power and dB arrays): 5.7 MB for a
+# sweep-f chunk of 64 on the default 3601-angle grid.
 _NO_ROWS = np.empty((0, 0), dtype=complex)
 _steering = [(np.empty(0), _NO_ROWS, np.empty(0))]
 
 
-def _pattern(weights, angles_deg):
-    """Curve of |sum_k w_k exp(-j pi k sin(theta))|^2 * E(theta) over the
-    given angles (default grid if None)."""
+def _patterns(W, angles_deg):
+    """Curves of |sum_k W[k, j] exp(-j pi k sin(theta))|^2 * E(theta) over
+    the given angles (default grid if None), one per column j of the
+    (n, k) weight matrix W."""
+    if not np.all(np.any(np.abs(W) > 0, axis=0)):
+        raise ValueError("all-zero surface excitation")
     if angles_deg is None:
         angles_deg = default_grid()
     angles_deg = np.array(angles_deg, dtype=float)
     theta = np.radians(angles_deg)
     if theta.size == 0:
         raise ValueError("empty angle grid")
-    n = len(weights)
+    n = W.shape[0]
     memo_theta, rows, gain = _steering[0]
     # keyed by value: theta is a fresh array, so no caller can mutate the
     # key, and array ids are reused after garbage collection
@@ -77,21 +83,26 @@ def _pattern(weights, angles_deg):
         _steering[0] = (theta, rows, gain)
         rows = steering_vector(n, theta)
         _steering[0] = (theta, rows, gain)
-    power = np.maximum(np.abs(rows[:, :n] @ weights) ** 2 * gain,
+    # one column goes to the same GEMV as a vector product, so single
+    # curves keep their bits; a column of a wider product may differ from
+    # its GEMV curve in the last bits, whatever else is in the product
+    power = np.maximum(np.abs(rows[:, :n] @ W) ** 2 * gain[:, None],
                        _POWER_FLOOR)
     power_dbi = 10.0 * np.log10(power)
-    k = int(np.argmax(power_dbi))
-    peak = power_dbi[k]
-    return PatternCurve(angles_deg=angles_deg,
-                        power_dbi=power_dbi,
-                        power_norm_db=power_dbi - peak,
-                        peak_angle_deg=float(angles_deg[k]),
-                        peak_dbi=float(peak))
+    k = np.argmax(power_dbi, axis=0)
+    peak = power_dbi[k, np.arange(k.size)]
+    power_norm_db = power_dbi - peak
+    return [PatternCurve(angles_deg=angles_deg,
+                         power_dbi=power_dbi[:, j],
+                         power_norm_db=power_norm_db[:, j],
+                         peak_angle_deg=float(angles_deg[k[j]]),
+                         peak_dbi=float(peak[j]))
+            for j in range(k.size)]
 
 
 def amaf_pattern(b: BeamVector, angles_deg=None) -> PatternCurve:
     """Feeder power pattern: array factor times the patch element factor."""
-    return _pattern(b.weights, angles_deg)
+    return _patterns(b.weights[:, None], angles_deg)[0]
 
 
 def ris_excitation(T: PropagationMatrix, b: BeamVector) -> np.ndarray:
@@ -108,10 +119,7 @@ def ris_pattern(T: PropagationMatrix, b: BeamVector,
     are not renormalized: dBi values include the feeder-to-surface
     propagation loss.
     """
-    x = np.abs(T.apply(b.weights))
-    if not np.any(x > 0):
-        raise ValueError("all-zero surface excitation")
-    return _pattern(x, angles_deg)
+    return _patterns(np.abs(T.apply(b.weights))[:, None], angles_deg)[0]
 
 
 def sidelobe_level(curve: PatternCurve):

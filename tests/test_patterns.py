@@ -100,12 +100,15 @@ class TestSteeringReuse:
     def test_optimize_f_trace_matches_fresh_patterns(self):
         f_values = [100.0, 110.0, 120.0]
         _, trace = optimize_f(4, 128, "end", True, "nonpem", f_values)
-        coarse = default_grid(1.0)
-        for f, val in trace:
+        mags = []
+        for f in f_values:
             T, m = end_feed_setup(128, f)
             b = nonpem_vector(m.beam(0))
-            amaf_pattern(b, coarse)     # leave another grid behind
-            assert sidelobe_level(ris_pattern(T, b)) == val
+            mags.append(ris_excitation(T, b))
+        amaf_pattern(b, default_grid(1.0))     # leave another grid behind
+        curves = patterns._patterns(np.column_stack(mags), None)
+        assert trace == [(f, sidelobe_level(c))
+                         for f, c in zip(f_values, curves)]
 
 
     # the widest-matrix memo: one steering matrix per grid, narrower
@@ -346,8 +349,13 @@ class TestRisPattern:
         T, _ = end_feed_setup(8, 4.0)
         from risfeed.coupling import PropagationMatrix
         Tz = PropagationMatrix(entries=np.zeros_like(T.entries))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="all-zero surface excitation"):
             ris_pattern(Tz, BeamVector(np.eye(4)[0].astype(complex)))
+        # one all-zero column fails the whole batch
+        x = ris_excitation(T, svd_modes(T).beam(0))
+        with pytest.raises(ValueError, match="all-zero surface excitation"):
+            patterns._patterns(np.column_stack([x, np.zeros_like(x), x]),
+                               None)
 
     def test_grid_refinement_stability(self):
         T, m = end_feed_setup(32, 16.0)

@@ -3,8 +3,11 @@ import filecmp
 import numpy as np
 import pytest
 
-from risfeed.sweep import (OBJECTIVES, run_grid, optimize_f, write_table_csv,
-                           write_trace_csv, analyze_point)
+from risfeed.geometry import FeederBelowSurfaceError
+from risfeed.modes import nonpem_vector
+from risfeed.patterns import ris_pattern, sidelobe_level
+from risfeed.sweep import (OBJECTIVES, _CHUNK, run_grid, optimize_f,
+                           write_table_csv, write_trace_csv, analyze_point)
 
 # feed styles analyze_point does not know: it builds only "end" (tilted
 # or not) and untilted "center"
@@ -133,7 +136,9 @@ class TestOptimizeF:
     def test_tie_goes_to_smaller_f(self, objective, monkeypatch):
         # every f scores alike, so each objective's rule must keep the
         # first (smallest) f
-        monkeypatch.setattr("risfeed.sweep._score", lambda *args: -3.5)
+        monkeypatch.setattr("risfeed.sweep._scores",
+                            lambda objective, points: [
+                                (i, -3.5) for i, _, _ in points])
         best, trace = optimize_f(4, 8, "center", False, "pem",
                                  [16.0, 4.0, 8.0, 8.0], objective=objective)
         assert best == 4.0
@@ -192,9 +197,8 @@ class TestOptimizeF:
         best, trace = optimize_f(16, 8, "end", True, "nonpem", f_values)
         assert [f for f, _ in trace] == f_values
         assert [v for _, v in trace[:4]] == [None] * 4
-        for f, val in trace[4:]:
-            _, one = optimize_f(16, 8, "end", True, "nonpem", [f])
-            assert one == [(f, val)]
+        _, defined = optimize_f(16, 8, "end", True, "nonpem", f_values[4:])
+        assert trace[4:] == defined
         vals = [v for _, v in trace[4:]]
         assert best == f_values[4 + vals.index(min(vals))]
 
@@ -208,3 +212,57 @@ class TestOptimizeF:
         monkeypatch.setattr("risfeed.sweep.build_T", broken)
         with pytest.raises(ValueError, match="coincident elements"):
             optimize_f(4, 8, "end", True, "nonpem", [8.0, 16.0])
+
+
+def single_curve_sll(n_a, n_p, feed, tilted, beam, f):
+    """min_sll at one f from its own ris_pattern; None where undefined."""
+    try:
+        _, T, modes, _ = analyze_point(n_a, n_p, f, feed, tilted)
+    except FeederBelowSurfaceError:
+        return None
+    b = modes.beam(0) if beam == "pem" else nonpem_vector(modes.beam(0))
+    return sidelobe_level(ris_pattern(T, b))
+
+
+class TestBatchedMinSll:
+    """min_sll scores a chunk of distances with one steering-matrix
+    product, whose columns may differ from one-column products in the
+    last bits."""
+
+    @pytest.mark.parametrize("beam", ["pem", "nonpem"])
+    @pytest.mark.parametrize("n_a,n_p,feed,tilted,f_values", [
+        (4, 32, "center", False, [4.0 + 0.5 * i for i in range(80)]),
+        (4, 32, "end", False, [4.0 + 0.5 * i for i in range(80)]),
+        (4, 32, "end", True, [4.0 + 0.5 * i for i in range(80)]),
+        # first four rows undefined: the feeder reaches the surface
+        (16, 8, "end", True, [float(f) for f in range(1, 81)]),
+    ], ids=["center", "end", "end-tilted", "end-tilted-undefined"])
+    def test_values_match_single_curves(self, n_a, n_p, feed, tilted,
+                                        f_values, beam):
+        assert len(f_values) > _CHUNK
+        best, trace = optimize_f(n_a, n_p, feed, tilted, beam, f_values)
+        ref = [(f, single_curve_sll(n_a, n_p, feed, tilted, beam, f))
+               for f in f_values]
+        assert [f for f, v in trace if v is None] == [
+            f for f, v in ref if v is None]
+        eps = np.finfo(float).eps
+        for (f, val), (_, want) in zip(trace, ref):
+            if want is not None:
+                # the field's rounding is a few eps of the peak field, so
+                # a sidelobe sll dB down carries eps * 10^(-sll/20) of it;
+                # the measured worst is 7.5 times that
+                assert abs(val - want) <= 32 * eps * 10 ** (-want / 20), f
+        defined = [(f, v) for f, v in ref if v is not None]
+        assert best == min(defined, key=lambda row: row[1])[0]
+
+    def test_value_does_not_depend_on_chunk_boundaries(self):
+        # starting at f = 20 moves 15 defined points from the second
+        # chunk into the first, and gives every point other neighbours
+        _, full = optimize_f(16, 8, "end", True, "nonpem",
+                             [float(f) for f in range(1, 101)])
+        _, late = optimize_f(16, 8, "end", True, "nonpem",
+                             [float(f) for f in range(20, 103)])
+        full, late = dict(full), dict(late)
+        shared = [f for f in late if f in full]
+        assert len(shared) == 81 and None not in late.values()
+        assert [late[f] for f in shared] == [full[f] for f in shared]

@@ -41,11 +41,13 @@ README = [
 ]
 
 # scans per objective and beam: a 16-element tilted feeder whose first
-# four f reach the surface (undefined rows); surfaces of one and two
-# elements, whose profile variation is 0 at every f (tied rows) and
+# four f reach the surface (undefined rows), once within one chunk of
+# optimize_f's min_sll scoring and once over three; surfaces of one and
+# two elements, whose profile variation is 0 at every f (tied rows) and
 # whose patterns have no sidelobes; and a plain end-feed scan
 SWEEPS = [
     "--na 16 --np 8 --feed end --tilted --f-min 1 --f-max 20 --f-step 1",
+    "--na 16 --np 8 --feed end --tilted --f-min 1 --f-max 160 --f-step 1",
     "--np 1 --feed center --f-min 2 --f-max 12 --f-step 2",
     "--np 2 --feed center --f-min 2 --f-max 12 --f-step 2",
     "--np 32 --feed end --f-min 10 --f-max 40 --f-step 2.5",
