@@ -63,7 +63,7 @@ def _patterns(W, angles_deg):
     """Curves of |sum_k W[k, j] exp(-j pi k sin(theta))|^2 * E(theta) over
     the given angles (default grid if None), one per column j of the
     (n, k) weight matrix W."""
-    if not np.all(np.any(np.abs(W) > 0, axis=0)):
+    if not W.any(axis=0).all():
         raise ValueError("all-zero surface excitation")
     if angles_deg is None:
         angles_deg = default_grid()
@@ -88,16 +88,18 @@ def _patterns(W, angles_deg):
     # its GEMV curve in the last bits, whatever else is in the product
     power = np.maximum(np.abs(rows[:, :n] @ W) ** 2 * gain[:, None],
                        _POWER_FLOOR)
-    power_dbi = 10.0 * np.log10(power)
-    k = np.argmax(power_dbi, axis=0)
-    peak = power_dbi[k, np.arange(k.size)]
-    power_norm_db = power_dbi - peak
-    return [PatternCurve(angles_deg=angles_deg,
-                         power_dbi=power_dbi[:, j],
-                         power_norm_db=power_norm_db[:, j],
-                         peak_angle_deg=float(angles_deg[k[j]]),
-                         peak_dbi=float(peak[j]))
-            for j in range(k.size)]
+    return [_curve(angles_deg, p) for p in (10.0 * np.log10(power)).T]
+
+
+def _curve(angles_deg, power_dbi):
+    """One sampled pattern, normalized to its (first) peak."""
+    k = int(np.argmax(power_dbi))
+    peak = power_dbi[k]
+    return PatternCurve(angles_deg=angles_deg,
+                        power_dbi=power_dbi,
+                        power_norm_db=power_dbi - peak,
+                        peak_angle_deg=float(angles_deg[k]),
+                        peak_dbi=float(peak))
 
 
 def amaf_pattern(b: BeamVector, angles_deg=None) -> PatternCurve:

@@ -17,8 +17,11 @@ from .patterns import (_patterns, ris_pattern,  # noqa: F401
 
 OBJECTIVES = ("max_power", "min_sll", "min_profile_variation")
 # surface excitations a min_sll scan scores with one product; a scan
-# holds one chunk, never the whole scan: 0.5 MB of excitations and a
-# 5.7 MB product at N_p = 1024 on the default grid
+# holds one chunk, never the whole scan: 0.5 MB of excitations at
+# N_p = 1024 and a 5.7 MB product on the default grid. Per column on
+# that grid (2-core Xeon, numpy 2.4.6, BLAS on one thread), one product
+# costs 120-150 us at widths 16-128 against 430 us alone at N_p = 128,
+# and 0.84 ms at 64, 0.76 ms at 128 against 3.1 ms alone at N_p = 1024
 _CHUNK = 64
 
 
