@@ -51,32 +51,49 @@ class PropagationMatrix:
         return self.entries @ weights
 
 
-def _pair_geometry(scenario):
+def _pair_geometry(scenarios):
     """Distances and unsigned angles between every surface element and
-    every feeder element.
+    the elements of each scenario's feeder, all above the surface of the
+    first scenario.
 
-    Returns (r, theta, phi), each shaped (surface, feeder) elements.
+    Returns (r, theta, phi), each shaped (scenario, surface, feeder).
     """
-    apos = scenario.amaf.positions    # (N_a, 2)
-    rpos = scenario.ris.positions     # (N_p, 2)
-    d = rpos[:, None, :] - apos[None, :, :]     # feeder -> surface
-    r = np.linalg.norm(d, axis=2)
+    ris = scenarios[0].ris
+    apos = np.array([s.amaf.positions for s in scenarios])     # (F, N_a, 2)
+    abore = np.array([s.amaf.boresight for s in scenarios])    # (F, 2)
+    d = ris.positions[:, None, :] - apos[:, None, :, :]    # feeder -> surface
+    r = np.linalg.norm(d, axis=-1)
     if np.any(r == 0.0):
-        n, m = np.argwhere(r == 0.0)[0]
+        _, n, m = np.argwhere(r == 0.0)[0]
         raise ValueError(f"coincident elements: surface {n}, feeder {m}")
-    cos_theta = (d @ scenario.amaf.boresight) / r
-    cos_phi = (-d @ scenario.ris.boresight) / r
+    # a (2, 1) column per scenario: these bits match d @ boresight of one
+    cos_theta = np.matmul(d, abore[..., None, :, None])[..., 0] / r
+    cos_phi = (-d @ ris.boresight) / r
     theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
     phi = np.arccos(np.clip(cos_phi, -1.0, 1.0))
     return r, theta, phi
 
 
+def _T_stack(scenarios):
+    """(F, N_p, N_a) propagation entries of F scenarios whose feeders sit
+    above the surface of the first; the bits of entry [k] do not depend
+    on the rest of the stack. A distance so large that r overflows
+    raises a ValueError naming its f, in place of numpy warnings."""
+    with np.errstate(all="ignore"):
+        r, theta, phi = _pair_geometry(scenarios)
+        amp = (np.sqrt(element_gain(theta) * element_gain(phi))
+               / (2.0 * np.pi * r))
+        entries = amp * np.exp(1j * np.pi * r)
+    if not np.isfinite(entries).all():
+        k = np.argmin(np.isfinite(entries).all(axis=(1, 2)))
+        raise ValueError("propagation matrix is not finite at "
+                         f"f={scenarios[k].f!r}")
+    return entries
+
+
 def build_T(scenario):
     """Assemble the full propagation matrix for a scenario."""
-    r, theta, phi = _pair_geometry(scenario)
-    amp = np.sqrt(element_gain(theta) * element_gain(phi)) / (2.0 * np.pi * r)
-    entries = amp * np.exp(1j * np.pi * r)
-    return PropagationMatrix(entries=entries)
+    return PropagationMatrix(entries=_T_stack([scenario])[0])
 
 
 def _write_csv(path, header, row_format, columns):

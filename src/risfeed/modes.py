@@ -6,6 +6,13 @@ Global phase of each right vector is fixed so its largest-magnitude
 entry is real and positive (lowest index on ties), which makes every
 downstream file reproducible bit for bit; its left vector, the U column
 of the same call, takes the same phase.
+
+A sweep analyzes a stack of matrices in one call, and each keeps the
+bits of its own svd_modes. So the rule divides by the pivot's magnitude
+from np.hypot of its parts, which rounds as Python's abs of one entry
+does: np.abs over a complex array takes a SIMD path that may differ in
+the last bit (0.5201632027331892 against ...891 for v_1 at center feed
+(4, 2, 8)). The pivot is still found by np.abs of each column.
 """
 
 import json
@@ -61,33 +68,50 @@ class ModeMetrics:
     f_over_d: float
 
 
-def _fix_phase(v):
-    """v rotated so its largest entry is real positive, and the factor."""
-    k = int(np.argmax(np.abs(v)))
-    pivot = v[k]
-    factor = pivot.conjugate() / abs(pivot) if pivot != 0 else 1.0
-    v = v * factor
-    v[k] = abs(v[k])    # force exactly real positive
-    return v, factor
+def _fix_phase(Vh):
+    """Right vectors from an (F, N_a, N_a) stack of V^H, and their
+    (F, N_a) phase factors.
+
+    Column i of each result is conj(Vh[f, i, :]) times factor[f, i],
+    the unit factor that makes its largest-magnitude entry real
+    positive (lowest index on ties).
+    """
+    V = Vh.conj().transpose(0, 2, 1)
+    n_f, n_a = V.shape[:2]
+    at = (np.arange(n_f)[:, None], np.argmax(np.abs(V), axis=1),
+          np.arange(n_a))
+    pivot = V[at]
+    # a column of a unitary V has an entry of magnitude >= 1/sqrt(N_a)
+    factor = pivot.conj() / np.hypot(pivot.real, pivot.imag)
+    V = V * factor[:, None, :]
+    pivot = V[at]
+    V[at] = np.hypot(pivot.real, pivot.imag)
+    return V, factor
+
+
+def _svd_stack(M):
+    """(sigma, right, left) of each matrix of an (F, N_p, N_a) stack, as
+    ModeAnalysis holds them, shaped (F, N_a), (F, N_a, N_a) and
+    (F, N_p, N_a)."""
+    n_f, n_p, n_a = M.shape
+    # zero rows keep V^H at N_a x N_a when the surface is the smaller
+    # array, without the N_p x N_p U that full_matrices=True would build
+    if n_p < n_a:
+        M = np.concatenate([M, np.zeros((n_f, n_a - n_p, n_a))], axis=1)
+    U, sigma, Vh = np.linalg.svd(M, full_matrices=False)
+    right, factor = _fix_phase(Vh)
+    left = np.where(sigma[:, None, :] > 0,
+                    U[:, :n_p, :] * factor[:, None, :], 0)
+    return sigma, right, left
 
 
 def svd_modes(T: PropagationMatrix) -> ModeAnalysis:
     """Singular values and vectors of T from one LAPACK SVD."""
-    M = T.entries
-    if M.size == 0:
+    if T.entries.size == 0:
         raise ValueError("empty propagation matrix")
-    n_p, n_a = M.shape
-    # zero rows keep V^H at N_a x N_a when the surface is the smaller
-    # array, without the N_p x N_p U that full_matrices=True would build
-    padded = np.vstack([M, np.zeros((n_a - n_p, n_a))]) if n_p < n_a else M
-    U, sigma, Vh = np.linalg.svd(padded, full_matrices=False)
-    right = np.empty((n_a, n_a), dtype=complex)
-    left = np.zeros((n_p, n_a), dtype=complex)
-    for i in range(n_a):
-        right[:, i], factor = _fix_phase(Vh[i].conj())
-        if sigma[i] > 0:
-            left[:, i] = U[:n_p, i] * factor
-    return ModeAnalysis(sigma=sigma, right_vectors=right, left_vectors=left)
+    sigma, right, left = _svd_stack(T.entries[None])
+    return ModeAnalysis(sigma=sigma[0], right_vectors=right[0],
+                        left_vectors=left[0])
 
 
 def power_transfer(T: PropagationMatrix, b: BeamVector) -> float:

@@ -8,20 +8,23 @@ import numpy as np
 
 from .geometry import (FeederBelowSurfaceError, make_center_feed,
                        make_end_feed)
-from .coupling import _write_csv, build_T
-from .modes import (svd_modes, mode_metrics, power_transfer, nonpem_vector,
-                    ModeMetrics)
+from .coupling import _T_stack, _write_csv, build_T
+from .modes import (ModeAnalysis, ModeMetrics, _svd_stack, mode_metrics,
+                    nonpem_vector, svd_modes)
 # ris_pattern is not called here, but bench/selftest.py wraps this binding
-from .patterns import (_patterns, ris_pattern,  # noqa: F401
-                       ris_excitation, sidelobe_level)
+from .patterns import _patterns, ris_pattern, sidelobe_level  # noqa: F401
 
 OBJECTIVES = ("max_power", "min_sll", "min_profile_variation")
-# surface excitations a min_sll scan scores with one product; a scan
-# holds one chunk, never the whole scan: 0.5 MB of excitations at
-# N_p = 1024 and a 5.7 MB product on the default grid. Per column on
-# that grid (2-core Xeon, numpy 2.4.6, BLAS on one thread), one product
-# costs 120-150 us at widths 16-128 against 430 us alone at N_p = 128,
-# and 0.84 ms at 64, 0.76 ms at 128 against 3.1 ms alone at N_p = 1024
+# the most distances a scan analyzes in one stack (one T build, one
+# stacked SVD, one excitation product), and the surface excitations a
+# min_sll scan scores with one steering-matrix product. A stack is
+# narrower where it would hold more than 2**20 T entries, as one T at
+# the CLI caps does: one f at 1024 x 1024. A min_sll scan holds one
+# chunk of excitations, never the whole scan: 0.5 MB at N_p = 1024 and
+# a 5.7 MB product on the default grid. Per column on that grid (2-core
+# Xeon, numpy 2.4.6, BLAS on one thread), one product costs 120-150 us
+# at widths 16-128 against 430 us alone at N_p = 128, and 0.84 ms at 64,
+# 0.76 ms at 128 against 3.1 ms alone at N_p = 1024
 _CHUNK = 64
 
 
@@ -36,16 +39,20 @@ class SweepRecord:
     metrics: ModeMetrics
 
 
-def analyze_point(n_a, n_p, f, feed_style, tilted=False):
-    """Mode analysis plus metrics for one grid point: an "end" feed,
-    tilted or not, or an untilted "center" feed."""
+def _scenario(n_a, n_p, f, feed_style, tilted):
+    """The geometry of one grid point: an "end" feed, tilted or not, or
+    an untilted "center" feed."""
     if feed_style == "end":
-        scenario = make_end_feed(n_a, n_p, f, tilted)
-    elif feed_style == "center" and not tilted:
-        scenario = make_center_feed(n_a, n_p, f)
-    else:
-        raise ValueError(f"feed {feed_style!r} (tilted={tilted}) is not "
-                         f"'end' or an untilted 'center'")
+        return make_end_feed(n_a, n_p, f, tilted)
+    if feed_style == "center" and not tilted:
+        return make_center_feed(n_a, n_p, f)
+    raise ValueError(f"feed {feed_style!r} (tilted={tilted}) is not "
+                     f"'end' or an untilted 'center'")
+
+
+def analyze_point(n_a, n_p, f, feed_style, tilted=False):
+    """Mode analysis plus metrics for one grid point."""
+    scenario = _scenario(n_a, n_p, f, feed_style, tilted)
     T = build_T(scenario)
     modes = svd_modes(T)
     metrics = mode_metrics(modes, scenario)
@@ -80,14 +87,15 @@ def _beam_for(modes, beam):
 
 
 def _scores(objective, points):
-    """(i, objective value) for each (i, T, b) feeder excitation, in
-    order; the value is None where undefined. min_sll takes the surface
-    patterns of _CHUNK excitations from one steering-matrix product."""
+    """(i, objective value) for each (i, b, x) feeder excitation b and
+    its surface excitation x = T b, in order; the value is None where
+    undefined. min_sll takes the surface patterns of _CHUNK excitations
+    from one steering-matrix product."""
     if objective == "max_power":
-        return [(i, power_transfer(T, b)) for i, T, b in points]
-    mags = ((i, ris_excitation(T, b)) for i, T, b in points)
+        return [(i, float(np.linalg.norm(x) ** 2)) for i, _, x in points]
+    mags = ((i, np.abs(x)) for i, _, x in points)
     if objective == "min_profile_variation":
-        return [(i, float(np.std(x) / np.mean(x))) for i, x in mags]
+        return [(i, float(np.std(m) / np.mean(m))) for i, m in mags]
     scores = []
     while chunk := list(islice(mags, _CHUNK)):
         index, columns = zip(*chunk)
@@ -97,13 +105,25 @@ def _scores(objective, points):
 
 
 def _defined_points(n_a, n_p, feed_style, tilted, beam, f_values):
-    """(index, T, b) for each f whose feeder clears the surface."""
-    for i, f in enumerate(f_values):
-        try:
-            _, T, modes, _ = analyze_point(n_a, n_p, f, feed_style, tilted)
-        except FeederBelowSurfaceError:
-            continue
-        yield i, T, _beam_for(modes, beam)
+    """(index, b, T b) for each f whose feeder clears the surface, with
+    the bits of analyze_point and _beam_for at that f. The distances go
+    in stacks of up to _CHUNK, each no larger than one T at the caps."""
+    def scenarios():
+        for i, f in enumerate(f_values):
+            try:
+                yield i, _scenario(n_a, n_p, f, feed_style, tilted)
+            except FeederBelowSurfaceError:
+                pass
+
+    width = max(1, min(_CHUNK, 2 ** 20 // (n_p * n_a)))
+    stream = scenarios()
+    while chunk := list(islice(stream, width)):
+        index, stack = zip(*chunk)
+        M = _T_stack(stack)
+        beams = [_beam_for(ModeAnalysis(*mode), beam)
+                 for mode in zip(*_svd_stack(M))]
+        W = np.stack([b.weights for b in beams])
+        yield from zip(index, beams, np.matmul(M, W[..., None])[..., 0])
 
 
 def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,

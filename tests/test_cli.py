@@ -166,6 +166,23 @@ class TestAnalyze:
             assert not out.exists()
 
 
+    @pytest.mark.parametrize("cmd", [
+        ("analyze", "--f", "1e308"),
+        ("sweep-f", "--f-min", "1e308", "--f-max", "1e308"),
+    ], ids=["analyze", "sweep-f"])
+    def test_overflowing_distance_is_one_error_line(self, cmd, capsys,
+                                                    tmp_path):
+        # r overflows to inf: one error naming f, not numpy warnings and
+        # "SVD did not converge"
+        out = tmp_path / "o"
+        rc = run_cli(*cmd, "--na", "4", "--np", "8", "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: propagation matrix is not finite at f=1e+308\n")
+        assert not out.exists()
+        assert run_cli("analyze", "--na", "4", "--np", "8", "--f", "1e16",
+                       "--out", str(out)) == 0
+
     def test_rank_deficient_report_is_strict_json(self, tmp_path):
         # N_p=2 < N_a=4: sigma_3 = sigma_4 = 0, so their dB and cond are
         # undefined

@@ -29,26 +29,26 @@ class TestElementGain:
 
 class TestCouplingTerms:
     def test_facing_single_elements(self):
-        r, theta, phi = _pair_geometry(make_center_feed(1, 1, 8))
-        assert r[0, 0] == pytest.approx(8.0)
-        assert theta[0, 0] == pytest.approx(0.0, abs=1e-12)
-        assert phi[0, 0] == pytest.approx(0.0, abs=1e-12)
+        r, theta, phi = _pair_geometry([make_center_feed(1, 1, 8)])
+        assert r[0, 0, 0] == pytest.approx(8.0)
+        assert theta[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert phi[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_pair_closed_form(self):
         # feeder element 0 at (-1.5, 4), surface element 7 at (3.5, 0)
-        r, theta, phi = _pair_geometry(make_center_feed(4, 8, 4))
-        assert r[7, 0] == pytest.approx(np.sqrt(41.0))
-        assert theta[7, 0] == pytest.approx(np.arctan2(5.0, 4.0))
-        assert phi[7, 0] == pytest.approx(np.arctan2(5.0, 4.0))
+        r, theta, phi = _pair_geometry([make_center_feed(4, 8, 4)])
+        assert r[0, 7, 0] == pytest.approx(np.sqrt(41.0))
+        assert theta[0, 7, 0] == pytest.approx(np.arctan2(5.0, 4.0))
+        assert phi[0, 7, 0] == pytest.approx(np.arctan2(5.0, 4.0))
 
     def test_tilted_angles_from_rotated_boresight(self):
         sc = make_end_feed(4, 32, 16, tilted=True)
         # the surface centroid lies on the tilted boresight ray, so the
         # departure angle to a central element is nearly zero
-        _, mid, _ = _pair_geometry(sc)
-        assert mid[15, 1] < np.radians(3.0)
-        _, flat, _ = _pair_geometry(make_end_feed(4, 32, 16, False))
-        assert flat[15, 1] > np.radians(30.0)
+        _, mid, _ = _pair_geometry([sc])
+        assert mid[0, 15, 1] < np.radians(3.0)
+        _, flat, _ = _pair_geometry([make_end_feed(4, 32, 16, False)])
+        assert flat[0, 15, 1] > np.radians(30.0)
 
 
 class TestBuildT:

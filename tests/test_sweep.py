@@ -7,7 +7,9 @@ from risfeed.geometry import FeederBelowSurfaceError
 from risfeed.modes import nonpem_vector
 from risfeed.patterns import ris_pattern, sidelobe_level
 from risfeed.sweep import (OBJECTIVES, _CHUNK, run_grid, optimize_f,
-                           write_table_csv, write_trace_csv, analyze_point)
+                           write_table_csv, write_trace_csv, analyze_point,
+                           _beam_for, _defined_points)
+from risfeed.coupling import _T_stack
 
 # feed styles analyze_point does not know: it builds only "end" (tilted
 # or not) and untilted "center"
@@ -207,9 +209,9 @@ class TestOptimizeF:
             optimize_f(16, 8, "end", True, "nonpem", [1.0, 2.0, 3.0])
 
     def test_other_errors_stop_the_scan(self, monkeypatch):
-        def broken(scenario):
+        def broken(scenarios):
             raise ValueError("coincident elements")
-        monkeypatch.setattr("risfeed.sweep.build_T", broken)
+        monkeypatch.setattr("risfeed.sweep._T_stack", broken)
         with pytest.raises(ValueError, match="coincident elements"):
             optimize_f(4, 8, "end", True, "nonpem", [8.0, 16.0])
 
@@ -266,3 +268,91 @@ class TestBatchedMinSll:
         shared = [f for f in late if f in full]
         assert len(shared) == 81 and None not in late.values()
         assert [late[f] for f in shared] == [full[f] for f in shared]
+
+
+def stacked_scan(monkeypatch, n_a, n_p, feed, tilted, beam, f_values):
+    """The scan's (index, beam, excitation) points, and the T entries of
+    its stacks, one per point."""
+    stacks = []
+
+    def spy(scenarios):
+        stacks.append(_T_stack(scenarios))
+        return stacks[-1]
+    monkeypatch.setattr("risfeed.sweep._T_stack", spy)
+    points = list(_defined_points(n_a, n_p, feed, tilted, beam, f_values))
+    return points, np.concatenate(stacks)
+
+
+F80 = [4.0 + 0.5 * i for i in range(80)]
+
+
+class TestStackedScan:
+    """The scan analyzes its distances in stacks; every point keeps the
+    bits of its own analyze_point and _beam_for."""
+
+    @pytest.mark.parametrize("beam", ["pem", "nonpem"])
+    @pytest.mark.parametrize("n_a,n_p,feed,tilted,f_values", [
+        (4, 32, "center", False, F80),
+        (4, 32, "end", False, F80),
+        (4, 32, "end", True, F80),
+        # first four rows undefined: the feeder reaches the surface
+        (16, 8, "end", True, [float(f) for f in range(1, 81)]),
+        (4, 1, "center", False, F80),
+        # N_p < N_a: the SVD pads T with zero rows
+        (4, 2, "center", False, [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]),
+        (3, 5, "end", True, F80),
+    ], ids=["center", "end", "end-tilted", "end-tilted-undefined", "np1",
+            "np2-padded", "odd-sizes"])
+    def test_points_match_analyze_point(self, monkeypatch, n_a, n_p, feed,
+                                        tilted, f_values, beam):
+        points, entries = stacked_scan(monkeypatch, n_a, n_p, feed, tilted,
+                                       beam, f_values)
+        ref = []
+        for i, f in enumerate(f_values):
+            try:
+                _, T, modes, _ = analyze_point(n_a, n_p, f, feed, tilted)
+            except FeederBelowSurfaceError:
+                continue
+            ref.append((i, T, _beam_for(modes, beam)))
+        assert [i for i, _, _ in points] == [i for i, _, _ in ref]
+        assert len(entries) == len(ref)
+        for (_, b, x), M, (_, T, b_ref) in zip(points, entries, ref):
+            assert np.array_equal(M, T.entries)
+            assert np.array_equal(b.weights, b_ref.weights)
+            assert np.array_equal(x, T.apply(b_ref.weights))
+
+    def test_scan_longer_than_one_stack(self, monkeypatch):
+        points, entries = stacked_scan(monkeypatch, 4, 32, "end", True,
+                                       "nonpem", F80)
+        assert len(points) == len(entries) == len(F80) > _CHUNK
+
+    def test_phase_rule_rounds_like_scalar_abs(self):
+        # at (4, 2, 8) center the pivot of v_1 has magnitude
+        # 0.5201632027331891 from Python's abs, while np.abs over an
+        # array gives ...892 (numpy 2.4.6 on an AVX-512 Xeon); the rule
+        # rotates by the scalar magnitude, stacked or not
+        _, T, modes, _ = analyze_point(4, 2, 8.0, "center")
+        padded = np.vstack([T.entries, np.zeros((2, 4))])
+        v = np.linalg.svd(padded, full_matrices=False)[2][0].conj()
+        k = int(np.argmax(np.abs(v)))
+        v = v * (v[k].conjugate() / abs(v[k]))
+        v[k] = abs(v[k])
+        assert np.array_equal(modes.right_vectors[:, 0], v)
+
+    @pytest.mark.parametrize("n_a,n_p,width", [
+        (1024, 1024, 1), (32, 1024, 32), (4, 128, _CHUNK)])
+    def test_stack_holds_at_most_one_capped_T(self, monkeypatch, n_a, n_p,
+                                              width):
+        # the spy raises before any entry is built, so no SVD runs
+        shapes = []
+
+        def spy(scenarios):
+            shapes.append((len(scenarios), scenarios[0].n_p,
+                           scenarios[0].n_a))
+            raise ValueError("stack recorded")
+        monkeypatch.setattr("risfeed.sweep._T_stack", spy)
+        with pytest.raises(ValueError, match="stack recorded"):
+            optimize_f(n_a, n_p, "center", False, "pem",
+                       [float(f) for f in range(100, 300)])
+        assert shapes == [(width, n_p, n_a)]
+        assert width * n_p * n_a <= 2 ** 20
