@@ -128,7 +128,10 @@ def isotropic_loss_db(f) -> float:
     """Free-space spreading loss between isotropic points at distance f."""
     if f <= 0:
         raise ValueError("f must be positive")
-    return -10.0 * np.log10((2.0 * np.pi * f) ** 2)
+    try:
+        return -10.0 * np.log10((2.0 * np.pi * f) ** 2)
+    except OverflowError:
+        raise ValueError(f"isotropic loss overflows at f={f:g}") from None
 
 
 def mode_metrics(modes: ModeAnalysis, scenario: Scenario) -> ModeMetrics:

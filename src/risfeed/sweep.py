@@ -15,13 +15,12 @@ from .modes import (ModeAnalysis, ModeMetrics, _svd_stack, mode_metrics,
 from .patterns import _patterns, ris_pattern, sidelobe_level  # noqa: F401
 
 OBJECTIVES = ("max_power", "min_sll", "min_profile_variation")
-# the most distances a scan analyzes in one stack (one T build, one
-# stacked SVD, one excitation product), and the surface excitations a
-# min_sll scan scores with one steering-matrix product. A stack is
-# narrower where it would hold more than 2**20 T entries, as one T at
-# the CLI caps does: one f at 1024 x 1024. A min_sll scan holds one
-# chunk of excitations, never the whole scan: 0.5 MB at N_p = 1024 and
-# a 5.7 MB product on the default grid. Per column on that grid (2-core
+# the most distances a scan analyzes in one stack: one T build, one
+# stacked SVD, one excitation product and, for min_sll, one
+# steering-matrix product. A stack is narrower where it would hold more
+# than 2**20 T entries, as one T at the CLI caps does: one f at
+# 1024 x 1024. A scan holds one stack, never the whole scan: a min_sll
+# product on the default grid is 5.7 MB. Per column on that grid (2-core
 # Xeon, numpy 2.4.6, BLAS on one thread), one product costs 120-150 us
 # at widths 16-128 against 430 us alone at N_p = 128, and 0.84 ms at 64,
 # 0.76 ms at 128 against 3.1 ms alone at N_p = 1024
@@ -86,28 +85,11 @@ def _beam_for(modes, beam):
     raise ValueError(f"unknown beam {beam!r}")
 
 
-def _scores(objective, points):
-    """(i, objective value) for each (i, b, x) feeder excitation b and
-    its surface excitation x = T b, in order; the value is None where
-    undefined. min_sll takes the surface patterns of _CHUNK excitations
-    from one steering-matrix product."""
-    if objective == "max_power":
-        return [(i, float(np.linalg.norm(x) ** 2)) for i, _, x in points]
-    mags = ((i, np.abs(x)) for i, _, x in points)
-    if objective == "min_profile_variation":
-        return [(i, float(np.std(m) / np.mean(m))) for i, m in mags]
-    scores = []
-    while chunk := list(islice(mags, _CHUNK)):
-        index, columns = zip(*chunk)
-        curves = _patterns(np.column_stack(columns), None)
-        scores += zip(index, map(sidelobe_level, curves))
-    return scores
-
-
-def _defined_points(n_a, n_p, feed_style, tilted, beam, f_values):
-    """(index, b, T b) for each f whose feeder clears the surface, with
-    the bits of analyze_point and _beam_for at that f. The distances go
-    in stacks of up to _CHUNK, each no larger than one T at the caps."""
+def _stacks(n_a, n_p, feed_style, tilted, beam, f_values):
+    """(indices, X) for each stack of up to _CHUNK f whose feeder clears
+    the surface, each no larger than one T at the caps. Row r of X is the
+    surface excitation T b at f_values[indices[r]], with the bits of
+    analyze_point and _beam_for at that f."""
     def scenarios():
         for i, f in enumerate(f_values):
             try:
@@ -120,10 +102,21 @@ def _defined_points(n_a, n_p, feed_style, tilted, beam, f_values):
     while chunk := list(islice(stream, width)):
         index, stack = zip(*chunk)
         M = _T_stack(stack)
-        beams = [_beam_for(ModeAnalysis(*mode), beam)
-                 for mode in zip(*_svd_stack(M))]
-        W = np.stack([b.weights for b in beams])
-        yield from zip(index, beams, np.matmul(M, W[..., None])[..., 0])
+        W = np.stack([_beam_for(ModeAnalysis(*mode), beam).weights
+                      for mode in zip(*_svd_stack(M))])
+        yield index, np.matmul(M, W[..., None])[..., 0]
+
+
+def _score(objective, X):
+    """The objective value of each surface excitation, a row of X; None
+    where undefined. min_sll takes the surface patterns of the stack
+    from one steering-matrix product."""
+    if objective == "max_power":
+        return [float(np.linalg.norm(x) ** 2) for x in X]
+    mags = [np.abs(x) for x in X]
+    if objective == "min_profile_variation":
+        return [float(np.std(m) / np.mean(m)) for m in mags]
+    return list(map(sidelobe_level, _patterns(np.column_stack(mags), None)))
 
 
 def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
@@ -141,9 +134,9 @@ def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     values = [None] * len(f_values)
-    points = _defined_points(n_a, n_p, feed_style, tilted, beam, f_values)
-    for i, val in _scores(objective, points):
-        values[i] = val
+    for index, X in _stacks(n_a, n_p, feed_style, tilted, beam, f_values):
+        for i, val in zip(index, _score(objective, X)):
+            values[i] = val
     trace = list(zip(f_values, values))
     sign = -1 if objective == "max_power" else 1
     defined = [(f, val) for f, val in trace if val is not None]

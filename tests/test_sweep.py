@@ -8,7 +8,7 @@ from risfeed.modes import nonpem_vector
 from risfeed.patterns import ris_pattern, sidelobe_level
 from risfeed.sweep import (OBJECTIVES, _CHUNK, run_grid, optimize_f,
                            write_table_csv, write_trace_csv, analyze_point,
-                           _beam_for, _defined_points)
+                           _beam_for, _stacks)
 from risfeed.coupling import _T_stack
 
 # feed styles analyze_point does not know: it builds only "end" (tilted
@@ -138,9 +138,8 @@ class TestOptimizeF:
     def test_tie_goes_to_smaller_f(self, objective, monkeypatch):
         # every f scores alike, so each objective's rule must keep the
         # first (smallest) f
-        monkeypatch.setattr("risfeed.sweep._scores",
-                            lambda objective, points: [
-                                (i, -3.5) for i, _, _ in points])
+        monkeypatch.setattr("risfeed.sweep._score",
+                            lambda objective, X: [-3.5] * len(X))
         best, trace = optimize_f(4, 8, "center", False, "pem",
                                  [16.0, 4.0, 8.0, 8.0], objective=objective)
         assert best == 4.0
@@ -273,14 +272,22 @@ class TestBatchedMinSll:
 def stacked_scan(monkeypatch, n_a, n_p, feed, tilted, beam, f_values):
     """The scan's (index, beam, excitation) points, and the T entries of
     its stacks, one per point."""
-    stacks = []
+    stacks, beams = [], []
 
     def spy(scenarios):
         stacks.append(_T_stack(scenarios))
         return stacks[-1]
+
+    def beam_spy(modes, beam):
+        beams.append(_beam_for(modes, beam))
+        return beams[-1]
     monkeypatch.setattr("risfeed.sweep._T_stack", spy)
-    points = list(_defined_points(n_a, n_p, feed, tilted, beam, f_values))
-    return points, np.concatenate(stacks)
+    monkeypatch.setattr("risfeed.sweep._beam_for", beam_spy)
+    points = [(i, x) for index, X in _stacks(n_a, n_p, feed, tilted, beam,
+                                             f_values)
+              for i, x in zip(index, X, strict=True)]
+    return ([(i, b, x) for (i, x), b in zip(points, beams, strict=True)],
+            np.concatenate(stacks))
 
 
 F80 = [4.0 + 0.5 * i for i in range(80)]
@@ -301,8 +308,10 @@ class TestStackedScan:
         # N_p < N_a: the SVD pads T with zero rows
         (4, 2, "center", False, [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]),
         (3, 5, "end", True, F80),
+        # stacks of 52 f, narrower than _CHUNK, and a last one of 28
+        (20, 1000, "center", False, F80),
     ], ids=["center", "end", "end-tilted", "end-tilted-undefined", "np1",
-            "np2-padded", "odd-sizes"])
+            "np2-padded", "odd-sizes", "narrow-stacks"])
     def test_points_match_analyze_point(self, monkeypatch, n_a, n_p, feed,
                                         tilted, f_values, beam):
         points, entries = stacked_scan(monkeypatch, n_a, n_p, feed, tilted,

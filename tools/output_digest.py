@@ -5,14 +5,16 @@
 Run from any directory; the package is imported from ``src/`` of the
 checkout that holds this script, and every command runs in this one
 process through ``risfeed.cli.main``. Each line reads
-``<sha256>  <argv>``, or ``exit <code>  <argv>`` for a command that
-writes no file. Two checkouts give the same outputs exactly when a
+``<sha256>  <argv>``, ``exit <code>  <argv>`` for a command that
+writes no file, or ``raise <exception>  <argv>`` for one that raises out
+of ``main``. Two checkouts give the same outputs exactly when a
 ``diff`` of their two listings is empty.
 
 The list holds the README commands, ``sweep-f`` for every objective and
-beam (on scans with undefined and with tied rows), edge cases (a fine
-and several coarse angle grids, a 16-element feeder on an 8-element
-surface) and the benchmark ops at seeds 701 and 702, which come from
+beam (on scans with undefined and with tied rows, and on one in stacks
+narrower than 64 f), edge cases (a fine and several coarse angle grids,
+a 16-element feeder on an 8-element surface, a distance whose isotropic
+loss overflows) and the benchmark ops at seeds 701 and 702, which come from
 ``bench/workloads.py`` (imported, never changed).
 """
 
@@ -41,16 +43,18 @@ README = [
 ]
 
 # scans per objective and beam: a 16-element tilted feeder whose first
-# four f reach the surface (undefined rows), once within one chunk of
-# optimize_f's min_sll scoring and once over three; surfaces of one and
+# four f reach the surface (undefined rows), once within one stack of
+# optimize_f's scan and once over three; surfaces of one and
 # two elements, whose profile variation is 0 at every f (tied rows) and
-# whose patterns have no sidelobes; and a plain end-feed scan
+# whose patterns have no sidelobes; a plain end-feed scan; and 129 f
+# at 20 x 1000, which optimize_f analyzes in stacks of 52, 52 and 25
 SWEEPS = [
     "--na 16 --np 8 --feed end --tilted --f-min 1 --f-max 20 --f-step 1",
     "--na 16 --np 8 --feed end --tilted --f-min 1 --f-max 160 --f-step 1",
     "--np 1 --feed center --f-min 2 --f-max 12 --f-step 2",
     "--np 2 --feed center --f-min 2 --f-max 12 --f-step 2",
     "--np 32 --feed end --f-min 10 --f-max 40 --f-step 2.5",
+    "--na 20 --np 1000 --feed center --f-min 5 --f-max 95 --f-step 0.7",
 ]
 
 EDGE = [
@@ -62,7 +66,9 @@ EDGE = [
     "pattern --array ris --na 16 --np 8 --f 8 --feed end --tilted",
     "profile --na 16 --np 8 --f 8 --beam nonpem",
 ] + [f"pattern --na 4 --np 8 --f 8 --grid-step {step}"
-     for step in ("7", "90", "130", "1000")]
+     for step in ("7", "90", "130", "1000")] + [
+    f"{cmd} --na 4 --np 8 --f 3e153"
+    for cmd in ("analyze", "table", "pattern", "profile")]
 
 BENCH_SEEDS = (701, 702)
 BENCH_OPS = {"sweep_f": 4, "mode_table": 8, "report_files": 8}
@@ -89,10 +95,14 @@ def commands():
 
 
 def digest(argv, out):
-    """sha256 of the file argv writes to out, or its exit code if none."""
+    """sha256 of the file argv writes to out, or its exit code if none,
+    or the name of the exception it raises."""
     out.unlink(missing_ok=True)
-    with redirect_stderr(io.StringIO()):
-        code = main(argv + ["--out", str(out)])
+    try:
+        with redirect_stderr(io.StringIO()):
+            code = main(argv + ["--out", str(out)])
+    except Exception as exc:
+        return f"raise {type(exc).__name__}"
     if code != 0 or not out.exists():
         return f"exit {code}"
     return hashlib.sha256(out.read_bytes()).hexdigest()
