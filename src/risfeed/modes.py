@@ -128,8 +128,10 @@ def isotropic_loss_db(f) -> float:
     """Free-space spreading loss between isotropic points at distance f."""
     if f <= 0:
         raise ValueError("f must be positive")
+    # a Python float, so that (2 pi f)^2 raises where it overflows; a
+    # numpy float would give inf with a warning
     try:
-        return -10.0 * np.log10((2.0 * np.pi * f) ** 2)
+        return -10.0 * np.log10((2.0 * np.pi * float(f)) ** 2)
     except OverflowError:
         raise ValueError(f"isotropic loss overflows at f={f:g}") from None
 

@@ -39,24 +39,43 @@ class PatternCurve:
 def steering_vector(n, theta):
     """Conjugated uniform-array steering vector for angle theta (radians).
 
-    An array of angles gives one row per angle.
+    An array of angles gives one column per angle, element k in row k.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return np.exp(-1j * np.pi * np.multiply.outer(np.sin(theta), np.arange(n)))
+    return np.exp(-1j * np.pi * np.multiply.outer(np.arange(n), np.sin(theta)))
 
 
-# (theta, steering rows, element gain) for the widest array drawn on the
-# current grid. Column k of the steering rows depends on k and theta
-# only, so an n-element array uses the first n columns (a view, no
-# copy): feeder and surface curves on one grid share a single matrix.
-# One matrix is held, at most 590 MB at the CLI caps (36001 angles x
-# 1024 elements); the cell's tuple is replaced whole, never edited. The
-# product with k weight columns peaks at about 25 * k bytes per angle
-# (the complex field, then its power and dB arrays): 5.7 MB for a
-# sweep-f chunk of 64 on the default 3601-angle grid.
+# (theta, steering matrix, element gain) for the widest array drawn on
+# the current grid, element-major: row k depends on k and theta only,
+# so an n-element array uses the first n rows (a contiguous view, no
+# copy) and feeder and surface curves on one grid share a single
+# matrix. One matrix is held, at most 590 MB at the CLI caps (1024
+# elements x 36001 angles); the cell's tuple is replaced whole, never
+# edited. The product with k weight columns peaks at 24 * k bytes per
+# angle (the complex field, then one float buffer for the whole dB
+# chain): 5.5 MB for a sweep-f stack of 64 on the default 3601-angle
+# grid.
 _NO_ROWS = np.empty((0, 0), dtype=complex)
 _steering = [(np.empty(0), _NO_ROWS, np.empty(0))]
+
+
+def _steering_rows(n, theta):
+    """The first n rows of the steering matrix at theta, and the element
+    gain there, built only where the memo is narrower or on another
+    grid."""
+    memo_theta, rows, gain = _steering[0]
+    # keyed by value: theta is a fresh array, so no caller can mutate the
+    # key, and array ids are reused after garbage collection
+    if not np.array_equal(memo_theta, theta):
+        rows, gain = _NO_ROWS, element_gain(theta)
+    if n > rows.shape[0]:
+        # free the old matrix before the wider one is built
+        rows = _NO_ROWS
+        _steering[0] = (theta, rows, gain)
+        rows = steering_vector(n, theta)
+        _steering[0] = (theta, rows, gain)
+    return rows[:n], gain
 
 
 def _patterns(W, angles_deg):
@@ -71,24 +90,25 @@ def _patterns(W, angles_deg):
     theta = np.radians(angles_deg)
     if theta.size == 0:
         raise ValueError("empty angle grid")
-    n = W.shape[0]
-    memo_theta, rows, gain = _steering[0]
-    # keyed by value: theta is a fresh array, so no caller can mutate the
-    # key, and array ids are reused after garbage collection
-    if not np.array_equal(memo_theta, theta):
-        rows, gain = _NO_ROWS, element_gain(theta)
-    if n > rows.shape[1]:
-        # free the old matrix before the wider one is built
-        rows = _NO_ROWS
-        _steering[0] = (theta, rows, gain)
-        rows = steering_vector(n, theta)
-        _steering[0] = (theta, rows, gain)
-    # one column goes to the same GEMV as a vector product, so single
-    # curves keep their bits; a column of a wider product may differ from
-    # its GEMV curve in the last bits, whatever else is in the product
-    power = np.maximum(np.abs(rows[:, :n] @ W) ** 2 * gain[:, None],
-                       _POWER_FLOOR)
-    return [_curve(angles_deg, p) for p in (10.0 * np.log10(power)).T]
+    rows, gain = _steering_rows(W.shape[0], theta)
+    # real weights (surface magnitudes) take one real product on the
+    # interleaved real and imaginary parts, half the multiplies of a
+    # complex one, with the same terms; complex weights (feeder beams)
+    # take the complex product. One column goes to a GEMV, as a vector
+    # product would; a row of a wider product may differ from its GEMV
+    # curve in the last bits, whatever else is in the product
+    if np.iscomplexobj(W):
+        field = W.T @ rows
+    else:
+        field = (W.T @ rows.view(float)).view(complex)
+    power = np.abs(field)
+    del field
+    np.square(power, out=power)
+    power *= gain
+    np.maximum(power, _POWER_FLOOR, out=power)
+    np.log10(power, out=power)
+    power *= 10.0
+    return [_curve(angles_deg, p) for p in power]
 
 
 def _curve(angles_deg, power_dbi):

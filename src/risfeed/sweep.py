@@ -20,10 +20,11 @@ OBJECTIVES = ("max_power", "min_sll", "min_profile_variation")
 # steering-matrix product. A stack is narrower where it would hold more
 # than 2**20 T entries, as one T at the CLI caps does: one f at
 # 1024 x 1024. A scan holds one stack, never the whole scan: a min_sll
-# product on the default grid is 5.7 MB. Per column on that grid (2-core
-# Xeon, numpy 2.4.6, BLAS on one thread), one product costs 120-150 us
-# at widths 16-128 against 430 us alone at N_p = 128, and 0.84 ms at 64,
-# 0.76 ms at 128 against 3.1 ms alone at N_p = 1024
+# product on the default grid is 5.5 MB. Per column on that grid (2-core
+# Xeon, numpy 2.4.6, BLAS on one thread), one real product with its dB
+# curves costs 90-120 us at widths 16-128 against 480-500 us alone at
+# N_p = 128, and 0.42-0.44 ms at 64, 0.35-0.38 ms at 128 against
+# 4.5-5.1 ms alone at N_p = 1024
 _CHUNK = 64
 
 

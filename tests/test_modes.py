@@ -165,6 +165,18 @@ class TestScalarHelpers:
         with pytest.raises(ValueError):
             isotropic_loss_db(0)
 
+    @pytest.mark.parametrize("f", [1.0, 120.0, 1e150])
+    def test_isotropic_loss_numpy_float_keeps_bits(self, f):
+        got = isotropic_loss_db(np.float64(f))
+        assert got == isotropic_loss_db(f)
+        # the value a numpy float gave when squared in numpy
+        assert got == -10.0 * np.log10((2.0 * np.pi * np.float64(f)) ** 2)
+
+    def test_isotropic_loss_overflow_names_numpy_float(self):
+        with pytest.raises(ValueError,
+                           match="isotropic loss overflows at f=3e\\+153"):
+            isotropic_loss_db(np.float64(3e153))
+
 
 class TestModeMetrics:
     def test_table_row_3_sum(self):

@@ -17,7 +17,7 @@ from risfeed.patterns import (PatternCurve, steering_vector, amaf_pattern,
                               ris_excitation, ris_pattern, sidelobe_level,
                               default_grid, write_pattern_csv,
                               write_profile_csv)
-from risfeed.sweep import optimize_f
+from risfeed.sweep import _stacks, optimize_f
 
 from oracles import brute_force_sidelobe
 
@@ -45,13 +45,13 @@ class TestSteeringVector:
         with pytest.raises(ValueError):
             steering_vector(0, 0.0)
 
-    def test_angle_array_gives_one_row_per_angle(self):
+    def test_angle_array_gives_one_column_per_angle(self):
         theta = np.radians(default_grid(0.5))
         rows = steering_vector(16, theta)
-        assert rows.shape == (theta.size, 16)
+        assert rows.shape == (16, theta.size)
         assert np.array_equal(rows,
                               np.stack([steering_vector(16, t)
-                                        for t in theta]))
+                                        for t in theta], axis=1))
 
 
 class TestSteeringReuse:
@@ -112,7 +112,7 @@ class TestSteeringReuse:
 
 
     # the widest-matrix memo: one steering matrix per grid, narrower
-    # arrays use its first n columns
+    # arrays use its first n rows
 
     @staticmethod
     def reset_memo():
@@ -139,7 +139,7 @@ class TestSteeringReuse:
                  ("amaf 4 shifted", lambda: amaf_pattern(b4, shifted))]
         self.reset_memo()
         warm = [call().power_dbi for _, call in calls]
-        assert patterns._steering[0][1].shape[1] == 4
+        assert patterns._steering[0][1].shape[0] == 4
         for (name, call), got in zip(calls, warm):
             self.reset_memo()
             assert np.array_equal(got, call().power_dbi), name
@@ -150,7 +150,7 @@ class TestSteeringReuse:
         self.reset_memo()
         ris_pattern(T, b, grid)
         rows = patterns._steering[0][1]
-        assert rows.shape == (grid.size, 200)
+        assert rows.shape == (200, grid.size)
         ris_pattern(T, b, grid)
         ris_pattern(*self.surface(96), grid)
         amaf_pattern(b, grid)
@@ -164,7 +164,7 @@ class TestSteeringReuse:
         assert widest() is not None
         amaf_pattern(b, default_grid(0.5))
         assert widest() is None
-        assert patterns._steering[0][1].shape[1] == 4
+        assert patterns._steering[0][1].shape[0] == 4
 
     def test_growth_frees_old_matrix_before_build(self, monkeypatch):
         grid = default_grid(0.5)
@@ -187,7 +187,19 @@ class TestSteeringReuse:
         ris_pattern(*self.surface(160), grid)
         assert alive == [False]
         assert gains == []     # same grid: the gain is kept
-        assert patterns._steering[0][1].shape == (grid.size, 160)
+        assert patterns._steering[0][1].shape == (160, grid.size)
+
+    def test_narrower_rows_are_a_contiguous_view_of_widest(self):
+        theta = np.radians(default_grid(0.5))
+        self.reset_memo()
+        patterns._steering_rows(200, theta)
+        widest = patterns._steering[0][1]
+        rows, _ = patterns._steering_rows(96, theta)
+        assert patterns._steering[0][1] is widest
+        assert widest.shape == (200, theta.size)
+        assert rows.flags.c_contiguous
+        assert np.shares_memory(rows, widest)
+        assert np.array_equal(rows, steering_vector(96, theta))
 
     def test_cli_patterns_match_fresh_interpreters(self, tmp_path):
         commands = ["pattern --array ris --np 160 --f 80",
@@ -362,6 +374,34 @@ class TestRisPattern:
         c1 = ris_pattern(T, m.beam(0), default_grid(0.05))
         c2 = ris_pattern(T, m.beam(0), default_grid(0.025))
         assert abs(c1.peak_dbi - c2.peak_dbi) < 0.01
+
+
+class TestRealWeights:
+    """Real weights take a real product, complex weights a complex one;
+    both hold the same terms and differ only in rounding."""
+
+    @pytest.mark.parametrize("beam", ["pem", "nonpem"])
+    @pytest.mark.parametrize("feed,tilted", [("center", False),
+                                             ("end", False), ("end", True)],
+                             ids=["center", "end", "end-tilted"])
+    @pytest.mark.parametrize("n_p,f0,step", [(32, 4.0, 0.5),
+                                             (128, 40.0, 1.0),
+                                             (512, 100.0, 4.0)])
+    def test_real_product_matches_complex(self, n_p, f0, step, feed,
+                                          tilted, beam):
+        f_values = [f0 + step * i for i in range(80)]
+        eps = np.finfo(float).eps
+        for _, X in _stacks(4, n_p, feed, tilted, beam, f_values):
+            W = np.abs(X).T
+            real = patterns._patterns(W, None)
+            cplx = patterns._patterns(W.astype(complex), None)
+            assert len(real) == len(cplx) == W.shape[1]
+            for r, z in zip(real, cplx):
+                p_real = 10 ** (r.power_dbi / 10)
+                p_cplx = 10 ** (z.power_dbi / 10)
+                # the measured worst is 13.6 eps of the peak, at N_p = 512
+                assert np.max(np.abs(p_real - p_cplx)) <= \
+                    24 * eps * p_cplx.max()
 
 
 class TestSidelobeLevel:

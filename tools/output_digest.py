@@ -14,7 +14,8 @@ The list holds the README commands, ``sweep-f`` for every objective and
 beam (on scans with undefined and with tied rows, and on one in stacks
 narrower than 64 f), edge cases (a fine and several coarse angle grids,
 a 16-element feeder on an 8-element surface, a distance whose isotropic
-loss overflows) and the benchmark ops at seeds 701 and 702, which come from
+loss overflows, a scan on the first rows of a wider steering matrix) and
+the benchmark ops at seeds 701 and 702, which come from
 ``bench/workloads.py`` (imported, never changed).
 """
 
@@ -68,7 +69,11 @@ EDGE = [
 ] + [f"pattern --na 4 --np 8 --f 8 --grid-step {step}"
      for step in ("7", "90", "130", "1000")] + [
     f"{cmd} --na 4 --np 8 --f 3e153"
-    for cmd in ("analyze", "table", "pattern", "profile")]
+    for cmd in ("analyze", "table", "pattern", "profile")] + [
+    # a 200-row steering matrix on the default grid, then a min_sll scan
+    # whose real product reads its first 128 rows
+    "pattern --array ris --np 200 --f 80",
+    "sweep-f --np 128 --f-min 60 --f-max 140 --objective min_sll"]
 
 BENCH_SEEDS = (701, 702)
 BENCH_OPS = {"sweep_f": 4, "mode_table": 8, "report_files": 8}
