@@ -64,7 +64,7 @@ class Scenario:
         if self.feed_style not in ("center", "end"):
             raise ValueError(f"unknown feed_style {self.feed_style!r}")
         if not (np.isfinite(self.f) and self.f > 0):
-            raise ValueError("f must be positive and finite")
+            raise ValueError(f"f={self.f!r} must be positive and finite")
         if self.tilted and self.feed_style != "end":
             raise ValueError("tilt applies to end feed only")
 

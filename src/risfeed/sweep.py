@@ -15,8 +15,8 @@ from .modes import (ModeAnalysis, ModeMetrics, _svd_stack, mode_metrics,
 from .patterns import _patterns, ris_pattern, sidelobe_level  # noqa: F401
 
 OBJECTIVES = ("max_power", "min_sll", "min_profile_variation")
-# the most distances a scan analyzes in one stack: one T build, one
-# stacked SVD, one excitation product and, for min_sll, one
+# the most distances a scan analyzes in one stack: one T build, one SVD,
+# then table metrics or one excitation product and, for min_sll, one
 # steering-matrix product. A stack is narrower where it would hold more
 # than 2**20 T entries, as one T at the CLI caps does: one f at
 # 1024 x 1024. A scan holds one stack, never the whole scan: a min_sll
@@ -30,13 +30,13 @@ _CHUNK = 64
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Mode metrics for one scenario grid point."""
+    """One grid point's metrics; None where its feeder reaches the surface."""
 
     n_a: int
     n_p: int
     f: float
     feed: str
-    metrics: ModeMetrics
+    metrics: ModeMetrics | None
 
 
 def _scenario(n_a, n_p, f, feed_style, tilted):
@@ -60,20 +60,20 @@ def analyze_point(n_a, n_p, f, feed_style, tilted=False):
 
 
 def run_grid(n_a, n_p_list, f_list, feed_style, tilted=False):
-    """Evaluate the Cartesian (n_p, f) grid; records sorted by (n_p, f)."""
+    """Evaluate the Cartesian (n_p, f) grid, one stacked scan per N_p with
+    the bits of analyze_point; records sorted by (n_p, f), metrics None
+    where the tilted feeder reaches the surface."""
     if not n_p_list or not f_list:
         raise ValueError("n_p_list and f_list must be non-empty")
     records = []
     for n_p in n_p_list:
-        for f in f_list:
-            try:
-                _, _, _, metrics = analyze_point(n_a, n_p, f, feed_style,
-                                                 tilted)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"grid point n_p={n_p} f={f} failed: {exc}") from exc
-            records.append(SweepRecord(n_a=n_a, n_p=n_p, f=f,
-                                       feed=feed_style, metrics=metrics))
+        metrics = [None] * len(f_list)
+        for index, stack, _, svd in _stacks(n_a, n_p, feed_style, tilted,
+                                            f_list):
+            for i, scenario, mode in zip(index, stack, zip(*svd)):
+                metrics[i] = mode_metrics(ModeAnalysis(*mode), scenario)
+        records += [SweepRecord(n_a=n_a, n_p=n_p, f=f, feed=feed_style,
+                                metrics=m) for f, m in zip(f_list, metrics)]
     records.sort(key=lambda rec: (rec.n_p, rec.f))
     return records
 
@@ -86,11 +86,11 @@ def _beam_for(modes, beam):
     raise ValueError(f"unknown beam {beam!r}")
 
 
-def _stacks(n_a, n_p, feed_style, tilted, beam, f_values):
-    """(indices, X) for each stack of up to _CHUNK f whose feeder clears
-    the surface, each no larger than one T at the caps. Row r of X is the
-    surface excitation T b at f_values[indices[r]], with the bits of
-    analyze_point and _beam_for at that f."""
+def _stacks(n_a, n_p, feed_style, tilted, f_values):
+    """(indices, scenarios, M, svd) for each stack of up to _CHUNK f whose
+    feeder clears the surface, each no larger than one T at the caps: M is
+    the _T_stack of the scenarios at f_values[indices] and svd its
+    _svd_stack, each matrix with the bits of analyze_point at its f."""
     def scenarios():
         for i, f in enumerate(f_values):
             try:
@@ -103,9 +103,7 @@ def _stacks(n_a, n_p, feed_style, tilted, beam, f_values):
     while chunk := list(islice(stream, width)):
         index, stack = zip(*chunk)
         M = _T_stack(stack)
-        W = np.stack([_beam_for(ModeAnalysis(*mode), beam).weights
-                      for mode in zip(*_svd_stack(M))])
-        yield index, np.matmul(M, W[..., None])[..., 0]
+        yield index, stack, M, _svd_stack(M)
 
 
 def _score(objective, X):
@@ -135,7 +133,10 @@ def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     values = [None] * len(f_values)
-    for index, X in _stacks(n_a, n_p, feed_style, tilted, beam, f_values):
+    for index, _, M, svd in _stacks(n_a, n_p, feed_style, tilted, f_values):
+        W = np.stack([_beam_for(ModeAnalysis(*mode), beam).weights
+                      for mode in zip(*svd)])
+        X = np.matmul(M, W[..., None])[..., 0]
         for i, val in zip(index, _score(objective, X)):
             values[i] = val
     trace = list(zip(f_values, values))
@@ -149,18 +150,21 @@ def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
 
 
 def write_table_csv(records, path):
-    """Emit sweep records in the fixed table layout, 6 decimal places."""
+    """Emit sweep records in the fixed table layout, 6 decimal places; an
+    undefined point has eight empty metric cells."""
     rows = []
     for i, rec in enumerate(records, start=1):
-        m = rec.metrics
-        sig = list(m.sigma_sq_db) + [float("nan")] * (4 - rec.n_a)
-        # the sigma columns describe the PEM: sigma_1^2 is its power
-        rows.append([i, rec.n_a, rec.n_p, rec.f, rec.feed] + sig[:4]
-                    + [m.sum_db, m.cond, m.l_iso_db, m.f_over_d])
+        m, cells = rec.metrics, [""] * 8
+        if m is not None:
+            sig = list(m.sigma_sq_db) + [float("nan")] * (4 - rec.n_a)
+            # the sigma columns describe the PEM: sigma_1^2 is its power
+            cells = ["%.6f" % x for x in sig[:4] + [
+                m.sum_db, m.cond, m.l_iso_db, m.f_over_d]]
+        rows.append([i, rec.n_a, rec.n_p, rec.f, rec.feed] + cells)
     _write_csv(path, ["sl_no", "n_a", "n_p", "f", "feed", "beam",
                       "sigma1_db", "sigma2_db", "sigma3_db", "sigma4_db",
                       "sum_db", "cond", "l_iso_db", "f_over_d"],
-               "%s,%s,%s,%g,%s,pem" + ",%.6f" * 8, zip(*rows))
+               "%s,%s,%s,%g,%s,pem" + ",%s" * 8, zip(*rows))
 
 
 def write_trace_csv(trace, best_f, objective, path):

@@ -109,9 +109,12 @@ def csv_write_table(records, path):
                     "sum_db", "cond", "l_iso_db", "f_over_d"])
         for i, rec in enumerate(records, start=1):
             m = rec.metrics
+            head = [i, rec.n_a, rec.n_p, f"{rec.f:g}", rec.feed, "pem"]
+            if m is None:
+                w.writerow(head + [""] * 8)
+                continue
             sig = list(m.sigma_sq_db) + [float("nan")] * (4 - rec.n_a)
-            w.writerow([i, rec.n_a, rec.n_p, f"{rec.f:g}", rec.feed, "pem"]
-                       + [f"{s:.6f}" for s in sig[:4]]
+            w.writerow(head + [f"{s:.6f}" for s in sig[:4]]
                        + [f"{m.sum_db:.6f}", f"{m.cond:.6f}",
                           f"{m.l_iso_db:.6f}", f"{m.f_over_d:.6f}"])
 

@@ -237,6 +237,32 @@ class TestTable:
             assert cond == pytest.approx(10 ** ((s1 - s4) / 20), rel=1e-6)
 
 
+    def test_tilted_feeder_below_surface_is_an_undefined_row(self, capsys,
+                                                           tmp_path):
+        # a 16-element feeder tilted at f = 1 reaches the surface; f = 8 is
+        # valid and reads as it does in a table of its own, but for sl_no
+        both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+        args = ("table", "--na", "16", "--np", "8", "--feed", "end",
+                "--tilted")
+        assert run_cli(*args, "--f", "1,8", "--out", str(both)) == 0
+        assert capsys.readouterr().err == ""
+        assert run_cli(*args, "--f", "8", "--out", str(alone)) == 0
+        header, undefined, row = both.read_text().splitlines()
+        assert undefined == "1,16,8,1,end,pem" + "," * 8
+        assert [header, "1" + row[1:]] == alone.read_text().splitlines()
+        assert row.startswith("2,")
+
+    def test_table_without_a_defined_point_is_written(self, capsys,
+                                                      tmp_path):
+        # unlike sweep-f, a table has no best point to pick
+        out = tmp_path / "t.csv"
+        assert run_cli("table", "--na", "16", "--np", "8", "--f", "1,2",
+                       "--feed", "end", "--tilted", "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().splitlines()[1:] == [
+            f"{i},16,8,{i},end,pem" + "," * 8 for i in (1, 2)]
+
+
 class TestPatternAndProfile:
     def test_pattern_csv(self, tmp_path):
         out = tmp_path / "pat.csv"

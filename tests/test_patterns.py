@@ -17,7 +17,7 @@ from risfeed.patterns import (PatternCurve, steering_vector, amaf_pattern,
                               ris_excitation, ris_pattern, sidelobe_level,
                               default_grid, write_pattern_csv,
                               write_profile_csv)
-from risfeed.sweep import _stacks, optimize_f
+from risfeed.sweep import optimize_f
 
 from oracles import brute_force_sidelobe
 
@@ -387,11 +387,16 @@ class TestRealWeights:
     @pytest.mark.parametrize("n_p,f0,step", [(32, 4.0, 0.5),
                                              (128, 40.0, 1.0),
                                              (512, 100.0, 4.0)])
-    def test_real_product_matches_complex(self, n_p, f0, step, feed,
-                                          tilted, beam):
-        f_values = [f0 + step * i for i in range(80)]
+    def test_real_product_matches_complex(self, monkeypatch, n_p, f0, step,
+                                          feed, tilted, beam):
+        # the surface excitations of each stack of a scan, as scored
+        stacks = []
+        monkeypatch.setattr("risfeed.sweep._score", lambda objective, X:
+                            stacks.append(X) or [0.0] * len(X))
+        optimize_f(4, n_p, feed, tilted, beam,
+                   [f0 + step * i for i in range(80)], "max_power")
         eps = np.finfo(float).eps
-        for _, X in _stacks(4, n_p, feed, tilted, beam, f_values):
+        for X in stacks:
             W = np.abs(X).T
             real = patterns._patterns(W, None)
             cplx = patterns._patterns(W.astype(complex), None)

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from risfeed.geometry import FeederBelowSurfaceError
-from risfeed.modes import nonpem_vector
+from risfeed.modes import ModeAnalysis, nonpem_vector
 from risfeed.patterns import ris_pattern, sidelobe_level
 from risfeed.sweep import (OBJECTIVES, _CHUNK, run_grid, optimize_f,
                            write_table_csv, write_trace_csv, analyze_point,
                            _beam_for, _stacks)
-from risfeed.coupling import _T_stack
 
 # feed styles analyze_point does not know: it builds only "end" (tilted
 # or not) and untilted "center"
@@ -40,8 +39,36 @@ class TestRunGrid:
             run_grid(4, [], [8], "center")
 
     def test_grid_error_annotated(self):
-        with pytest.raises(RuntimeError, match="f=-1"):
+        with pytest.raises(ValueError, match="f=-1"):
             run_grid(4, [8], [-1.0], "center")
+
+    @pytest.mark.parametrize("n_a,n_p_list,f_list,feed,tilted", [
+        (4, [8, 32], [4.0, 8.0, 120.0], "center", False),
+        (4, [8, 32], [4.0, 8.0, 120.0], "end", False),
+        (4, [8, 32], [4.0, 8.0, 120.0], "end", True),
+        # N_p < N_a: the SVD pads T with zero rows
+        (16, [8], [8.0, 40.0], "center", False),
+        # stacks of 64 and 6 f
+        (4, [8], [1.0 + 0.5 * i for i in range(70)], "center", False),
+        # the feeder reaches the surface at f < 5
+        (16, [8, 16], [float(f) for f in range(1, 11)], "end", True),
+    ], ids=["center", "end", "end-tilted", "np8-padded", "two-stacks",
+            "end-tilted-undefined"])
+    def test_metrics_match_analyze_point(self, n_a, n_p_list, f_list, feed,
+                                         tilted):
+        records = run_grid(n_a, n_p_list, f_list, feed, tilted)
+        assert [(r.n_p, r.f) for r in records] == [
+            (n_p, f) for n_p in n_p_list for f in f_list]
+        for rec in records:
+            try:
+                *_, want = analyze_point(n_a, rec.n_p, rec.f, feed, tilted)
+            except FeederBelowSurfaceError:
+                assert rec.metrics is None
+                continue
+            # every field, bit for bit
+            assert vars(rec.metrics) == vars(want)
+        assert any(r.metrics is None for r in records) == (n_a == 16
+                                                           and tilted)
 
     def test_csv_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -66,13 +93,10 @@ class TestFeedDispatch:
             analyze_point(4, 8, 8.0, feed, tilted)
 
     @pytest.mark.parametrize("feed,tilted", BAD_FEEDS)
-    def test_run_grid_names_the_point(self, feed, tilted):
-        with pytest.raises(RuntimeError,
-                           match="grid point n_p=8 f=8.0 failed: feed"):
-            run_grid(4, [8], [8.0], feed, tilted)
-
-    @pytest.mark.parametrize("feed,tilted", BAD_FEEDS)
     def test_optimize_f_raises_instead_of_undefined_row(self, feed, tilted):
+        # the table's scan too, not only optimize_f under every objective
+        with pytest.raises(ValueError, match=f"feed {feed!r}"):
+            run_grid(4, [8], [8.0, 16.0], feed, tilted)
         for objective in OBJECTIVES:
             with pytest.raises(ValueError, match=f"feed {feed!r}"):
                 optimize_f(4, 8, feed, tilted, "pem", [8.0, 16.0],
@@ -270,24 +294,21 @@ class TestBatchedMinSll:
 
 
 def stacked_scan(monkeypatch, n_a, n_p, feed, tilted, beam, f_values):
-    """The scan's (index, beam, excitation) points, and the T entries of
-    its stacks, one per point."""
-    stacks, beams = [], []
+    """The (index, scenario, T entries, modes) points of a scan's stacks,
+    and the surface excitations that optimize_f scores, one per point."""
+    points = [(i, scenario, entries, ModeAnalysis(*mode))
+              for index, stack, M, svd in _stacks(n_a, n_p, feed, tilted,
+                                                  f_values)
+              for i, scenario, entries, mode in zip(index, stack, M,
+                                                    zip(*svd), strict=True)]
+    excitations = []
 
-    def spy(scenarios):
-        stacks.append(_T_stack(scenarios))
-        return stacks[-1]
-
-    def beam_spy(modes, beam):
-        beams.append(_beam_for(modes, beam))
-        return beams[-1]
-    monkeypatch.setattr("risfeed.sweep._T_stack", spy)
-    monkeypatch.setattr("risfeed.sweep._beam_for", beam_spy)
-    points = [(i, x) for index, X in _stacks(n_a, n_p, feed, tilted, beam,
-                                             f_values)
-              for i, x in zip(index, X, strict=True)]
-    return ([(i, b, x) for (i, x), b in zip(points, beams, strict=True)],
-            np.concatenate(stacks))
+    def score_spy(objective, X):
+        excitations.extend(X)
+        return [0.0] * len(X)
+    monkeypatch.setattr("risfeed.sweep._score", score_spy)
+    optimize_f(n_a, n_p, feed, tilted, beam, f_values, "max_power")
+    return points, excitations
 
 
 F80 = [4.0 + 0.5 * i for i in range(80)]
@@ -314,26 +335,35 @@ class TestStackedScan:
             "np2-padded", "odd-sizes", "narrow-stacks"])
     def test_points_match_analyze_point(self, monkeypatch, n_a, n_p, feed,
                                         tilted, f_values, beam):
-        points, entries = stacked_scan(monkeypatch, n_a, n_p, feed, tilted,
-                                       beam, f_values)
+        points, excitations = stacked_scan(monkeypatch, n_a, n_p, feed,
+                                           tilted, beam, f_values)
         ref = []
         for i, f in enumerate(f_values):
             try:
-                _, T, modes, _ = analyze_point(n_a, n_p, f, feed, tilted)
+                scenario, T, modes, _ = analyze_point(n_a, n_p, f, feed,
+                                                      tilted)
             except FeederBelowSurfaceError:
                 continue
-            ref.append((i, T, _beam_for(modes, beam)))
-        assert [i for i, _, _ in points] == [i for i, _, _ in ref]
-        assert len(entries) == len(ref)
-        for (_, b, x), M, (_, T, b_ref) in zip(points, entries, ref):
+            ref.append((i, scenario, T, modes))
+        assert [p[0] for p in points] == [r[0] for r in ref]
+        assert len(excitations) == len(ref)
+        for (_, s, M, modes), x, (_, s_ref, T, m_ref) in zip(
+                points, excitations, ref):
+            assert s.f == s_ref.f
+            assert np.array_equal(s.amaf.positions, s_ref.amaf.positions)
             assert np.array_equal(M, T.entries)
-            assert np.array_equal(b.weights, b_ref.weights)
+            for name in ("sigma", "right_vectors", "left_vectors"):
+                assert np.array_equal(getattr(modes, name),
+                                      getattr(m_ref, name))
+            b_ref = _beam_for(m_ref, beam)
+            assert np.array_equal(_beam_for(modes, beam).weights,
+                                  b_ref.weights)
             assert np.array_equal(x, T.apply(b_ref.weights))
 
     def test_scan_longer_than_one_stack(self, monkeypatch):
-        points, entries = stacked_scan(monkeypatch, 4, 32, "end", True,
-                                       "nonpem", F80)
-        assert len(points) == len(entries) == len(F80) > _CHUNK
+        points, excitations = stacked_scan(monkeypatch, 4, 32, "end", True,
+                                           "nonpem", F80)
+        assert len(points) == len(excitations) == len(F80) > _CHUNK
 
     def test_phase_rule_rounds_like_scalar_abs(self):
         # at (4, 2, 8) center the pivot of v_1 has magnitude

@@ -1,7 +1,7 @@
 """Every CSV writer writes exactly the bytes of its former csv.writer
 body (tests/oracles.py), on inputs chosen to break a formatter: signed
-zeros, infinities, NaN, padding and dropped columns, empty cells, ties,
-the magnitude floor, and the finest angle grid."""
+zeros, infinities, NaN, padding and dropped columns, empty cells,
+undefined rows, ties, the magnitude floor, and the finest angle grid."""
 
 import numpy as np
 import pytest
@@ -98,6 +98,7 @@ class TestTableCsv:
         (16, [8, 32], [8.0, 120.0], "end", True),       # N_p < N_a: inf cond
         (4, [2, 8], [4.0], "center", False),            # sigma3, 4: -inf
         (4, [8, 16, 32], [4.0, 8.0, 40.0, 80.0, 120.0], "center", False),
+        (16, [8], [1.0, 8.0], "end", True),             # f = 1 undefined
     ])
     def test_computed_grids(self, tmp_path, n_a, n_p_list, f_list, feed,
                             tilted):
@@ -112,6 +113,7 @@ class TestTableCsv:
                    2.5e-7, feed="end"),
             record(6, 9, 123456789.0, [-1.25, -2.5, -5e-7, 5e-7, -9.0, -9.5],
                    -1.0, 1e300, 7.0, 1.0),
+            SweepRecord(n_a=16, n_p=8, f=2.5, feed="end", metrics=None),
         ]
         assert_same_bytes(tmp_path, write_table_csv,
                           oracles.csv_write_table, records)

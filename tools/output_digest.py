@@ -13,10 +13,12 @@ of ``main``. Two checkouts give the same outputs exactly when a
 The list holds the README commands, ``sweep-f`` for every objective and
 beam (on scans with undefined and with tied rows, and on one in stacks
 narrower than 64 f), edge cases (a fine and several coarse angle grids,
-a 16-element feeder on an 8-element surface, a distance whose isotropic
-loss overflows, a scan on the first rows of a wider steering matrix) and
-the benchmark ops at seeds 701 and 702, which come from
-``bench/workloads.py`` (imported, never changed).
+a 16-element feeder on an 8-element surface, a tilted table whose first
+point is undefined, a table of 70 distances, surface patterns up to 1024
+elements wide, a distance whose isotropic loss overflows, a scan on the
+first rows of a wider steering matrix) and the benchmark ops at seeds
+701 and 702, which come from ``bench/workloads.py`` (imported, never
+changed).
 """
 
 import hashlib
@@ -63,6 +65,10 @@ EDGE = [
     "pattern --array ris --na 4 --np 32 --f 16 --grid-step 0.013",
     "analyze --na 16 --np 8 --f 8",
     "table --na 16 --np 8 --f 4,8,40",
+    # the feeder reaches the surface at f = 1: an undefined row
+    "table --na 16 --np 8 --f 1,8 --feed end --tilted",
+    # more distances than one stack holds
+    "table --np 8 --f " + ",".join(str(f) for f in range(1, 71)),
     "pattern --na 16 --np 8 --f 8",
     "pattern --array ris --na 16 --np 8 --f 8 --feed end --tilted",
     "profile --na 16 --np 8 --f 8 --beam nonpem",
@@ -70,6 +76,8 @@ EDGE = [
      for step in ("7", "90", "130", "1000")] + [
     f"{cmd} --na 4 --np 8 --f 3e153"
     for cmd in ("analyze", "table", "pattern", "profile")] + [
+    f"pattern --array ris --np {n_p} --f 100" for n_p in (256, 512, 1024)
+] + [
     # a 200-row steering matrix on the default grid, then a min_sll scan
     # whose real product reads its first 128 rows
     "pattern --array ris --np 200 --f 80",
