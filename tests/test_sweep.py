@@ -93,10 +93,13 @@ class TestFeedDispatch:
             analyze_point(4, 8, 8.0, feed, tilted)
 
     @pytest.mark.parametrize("feed,tilted", BAD_FEEDS)
-    def test_optimize_f_raises_instead_of_undefined_row(self, feed, tilted):
-        # the table's scan too, not only optimize_f under every objective
+    def test_run_grid_names_the_point(self, feed, tilted):
+        # the table's scan raises the same error as optimize_f's
         with pytest.raises(ValueError, match=f"feed {feed!r}"):
             run_grid(4, [8], [8.0, 16.0], feed, tilted)
+
+    @pytest.mark.parametrize("feed,tilted", BAD_FEEDS)
+    def test_optimize_f_raises_instead_of_undefined_row(self, feed, tilted):
         for objective in OBJECTIVES:
             with pytest.raises(ValueError, match=f"feed {feed!r}"):
                 optimize_f(4, 8, feed, tilted, "pem", [8.0, 16.0],
