@@ -1,9 +1,10 @@
 """Element patterns and the feeder-to-surface propagation matrix.
 
 Entry (n, m) couples feeder element m to surface element n through the
-Friis magnitude with both element gains, plus the distance phase:
+Friis magnitude with both patch gains E = 4*cos+^2, cos+ = max(cos, 0),
+plus the distance phase:
 
-    T[n, m] = sqrt(E(theta) * E(phi)) * exp(j*pi*r) / (2*pi*r)
+    T[n, m] = 4 * cos+(theta) * cos+(phi) * exp(j*pi*r) / (2*pi*r)
 
 with r in lambda/2 units, theta the departure angle from the feeder
 element boresight and phi the arrival angle from the surface element
@@ -17,15 +18,13 @@ import numpy as np
 
 
 def element_gain(theta):
-    """Patch-element power gain 4*cos^2(theta), zero in the rear hemisphere.
+    """Patch-element power gain 4*max(cos(theta), 0)^2.
 
-    Peak gain is 4 (6.02 dBi); half power at +/-45 degrees. Accepts
-    scalars or arrays of angles in radians.
+    Peak gain is 4 (6.02 dBi); half power at +/-45 degrees; zero in the
+    rear hemisphere. Accepts scalars or arrays of angles in radians.
     """
-    theta = np.asarray(theta, dtype=float)
-    cos_t = np.cos(theta)
-    gain = np.where(np.abs(np.remainder(theta + np.pi, 2 * np.pi) - np.pi)
-                    < np.pi / 2, 4.0 * cos_t * cos_t, 0.0)
+    cos_t = np.maximum(np.cos(theta), 0.0)
+    gain = 4.0 * cos_t * cos_t
     return gain if gain.ndim else float(gain)
 
 
@@ -52,11 +51,11 @@ class PropagationMatrix:
 
 
 def _pair_geometry(scenarios):
-    """Distances and unsigned angles between every surface element and
-    the elements of each scenario's feeder, all above the surface of the
+    """Distances and angle cosines between every surface element and the
+    elements of each scenario's feeder, all above the surface of the
     first scenario.
 
-    Returns (r, theta, phi), each shaped (scenario, surface, feeder).
+    Returns (r, cos_theta, cos_phi), each shaped (scenario, surface, feeder).
     """
     ris = scenarios[0].ris
     apos = np.array([s.amaf.positions for s in scenarios])     # (F, N_a, 2)
@@ -69,9 +68,7 @@ def _pair_geometry(scenarios):
     # a (2, 1) column per scenario: these bits match d @ boresight of one
     cos_theta = np.matmul(d, abore[..., None, :, None])[..., 0] / r
     cos_phi = (-d @ ris.boresight) / r
-    theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
-    phi = np.arccos(np.clip(cos_phi, -1.0, 1.0))
-    return r, theta, phi
+    return r, cos_theta, cos_phi
 
 
 def _T_stack(scenarios):
@@ -80,8 +77,9 @@ def _T_stack(scenarios):
     on the rest of the stack. A distance so large that r overflows
     raises a ValueError naming its f, in place of numpy warnings."""
     with np.errstate(all="ignore"):
-        r, theta, phi = _pair_geometry(scenarios)
-        amp = (np.sqrt(element_gain(theta) * element_gain(phi))
+        r, cos_theta, cos_phi = _pair_geometry(scenarios)
+        # sqrt(E(theta) * E(phi)) with E = 4*cos+^2
+        amp = (4.0 * np.maximum(cos_theta, 0.0) * np.maximum(cos_phi, 0.0)
                / (2.0 * np.pi * r))
         entries = amp * np.exp(1j * np.pi * r)
     if not np.isfinite(entries).all():

@@ -1,14 +1,17 @@
 """Independent brute-force oracles used only by the tests.
 
 These deliberately avoid the package's LAPACK call: the SVD oracle is a
-one-sided Jacobi working directly on the rectangular matrix, and the
-sidelobe oracle walks the sampled curve one sample at a time, the loop
-that the package's array comparisons replaced. The CSV writers below
+one-sided Jacobi working directly on the rectangular matrix, the
+one-element feeder's power is an exact sum over scalar geometry, which
+needs neither T nor an SVD, and the sidelobe oracle walks the sampled
+curve one sample at a time, the loop that the package's array
+comparisons replaced. The CSV writers below
 are the package's former per-row csv.writer bodies, the byte-for-byte
 reference for its block-formatted writers.
 """
 
 import csv
+import math
 
 import numpy as np
 
@@ -61,6 +64,24 @@ def one_sided_jacobi_svd(A, tol=1e-15, max_sweeps=60):
         if sv[i] > 0:
             U[:, i] = A[:, k] / sv[i]
     return U, sv, V
+
+
+def single_feeder_power(scenario):
+    """sigma_1^2 of a one-element feeder, where T is one column: the
+    math.fsum over the surface of 16 cos+^2(theta) cos+^2(phi) / (2 pi r)^2,
+    with r from math.hypot and cos+ = max(cos, 0) from scalar products."""
+    (ax, az), = scenario.amaf.positions.tolist()
+    abx, abz = scenario.amaf.boresight.tolist()
+    sbx, sbz = scenario.ris.boresight.tolist()
+    terms = []
+    for px, pz in scenario.ris.positions.tolist():
+        dx, dz = px - ax, pz - az
+        r = math.hypot(dx, dz)
+        cos_theta = max((dx * abx + dz * abz) / r, 0.0)
+        cos_phi = max(-(dx * sbx + dz * sbz) / r, 0.0)
+        terms.append(16.0 * (cos_theta * cos_phi) ** 2
+                     / (2.0 * math.pi * r) ** 2)
+    return math.fsum(terms)
 
 
 def brute_force_sidelobe(angles_deg, power_db):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ from risfeed.geometry import (ElementLayout, Scenario, make_center_feed,
                               make_end_feed)
 from risfeed.coupling import element_gain, _pair_geometry, build_T
 from risfeed.modes import svd_modes
+from risfeed.sweep import _stacks
+
+from oracles import single_feeder_power
 
 
 class TestElementGain:
@@ -18,6 +23,12 @@ class TestElementGain:
         assert element_gain(2 * np.pi / 3) == 0.0
         assert element_gain(np.pi) == 0.0
 
+    def test_rounded_cosine_at_90_deg(self):
+        # cos(pi/2) rounds to 6.1e-17, not 0: a gain far below the
+        # pattern's 1e-30 power floor
+        assert element_gain(np.pi / 2) < 1e-31
+        assert element_gain(-np.pi / 2) < 1e-31
+
     def test_even_symmetry(self):
         thetas = np.linspace(0, np.pi, 181)
         assert np.allclose(element_gain(thetas), element_gain(-thetas))
@@ -29,27 +40,46 @@ class TestElementGain:
 
 class TestCouplingTerms:
     def test_facing_single_elements(self):
-        r, theta, phi = _pair_geometry([make_center_feed(1, 1, 8)])
+        r, cos_theta, cos_phi = _pair_geometry([make_center_feed(1, 1, 8)])
         assert r[0, 0, 0] == pytest.approx(8.0)
-        assert theta[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
-        assert phi[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert cos_theta[0, 0, 0] == 1.0
+        assert cos_phi[0, 0, 0] == 1.0
 
     def test_diagonal_pair_closed_form(self):
         # feeder element 0 at (-1.5, 4), surface element 7 at (3.5, 0)
-        r, theta, phi = _pair_geometry([make_center_feed(4, 8, 4)])
+        r, cos_theta, cos_phi = _pair_geometry([make_center_feed(4, 8, 4)])
         assert r[0, 7, 0] == pytest.approx(np.sqrt(41.0))
-        assert theta[0, 7, 0] == pytest.approx(np.arctan2(5.0, 4.0))
-        assert phi[0, 7, 0] == pytest.approx(np.arctan2(5.0, 4.0))
+        assert cos_theta[0, 7, 0] == pytest.approx(4.0 / np.sqrt(41.0))
+        assert cos_phi[0, 7, 0] == pytest.approx(4.0 / np.sqrt(41.0))
 
     def test_tilted_angles_from_rotated_boresight(self):
         sc = make_end_feed(4, 32, 16, tilted=True)
         # the surface centroid lies on the tilted boresight ray, so the
         # departure angle to a central element is nearly zero
         _, mid, _ = _pair_geometry([sc])
-        assert mid[0, 15, 1] < np.radians(3.0)
+        assert mid[0, 15, 1] > np.cos(np.radians(3.0))
         _, flat, _ = _pair_geometry([make_end_feed(4, 32, 16, False)])
-        assert flat[0, 15, 1] > np.radians(30.0)
+        assert flat[0, 15, 1] < np.cos(np.radians(30.0))
 
+
+class TestSingleFeederOracle:
+    """At N_a = 1, T is one column and sigma_1^2 = ||T||^2, an exact sum
+    over the surface that starts from neither the rounded T nor an SVD."""
+
+    @pytest.mark.parametrize("feed, tilted", [("center", False),
+                                              ("end", False),
+                                              ("end", True)])
+    def test_sigma1_is_the_exact_friis_sum(self, feed, tilted):
+        worst = 0.0
+        for n_p in (8, 32, 128, 512, 1024):
+            f_values = [q * n_p for q in (0.05, 0.1, 0.2, 0.5, 1, 2, 5, 20)]
+            for _, stack, _, svd in _stacks(1, n_p, feed, tilted, f_values):
+                for scenario, sigma in zip(stack, svd[0]):
+                    exact = single_feeder_power(scenario)
+                    ratio = float(sigma[0]) ** 2 / exact
+                    worst = max(worst, abs(10.0 * math.log10(ratio)))
+        # measured: at most 2.9e-15 dB
+        assert worst <= 1e-14
 
 class TestBuildT:
     def test_single_pair_magnitude(self):

@@ -16,9 +16,10 @@ narrower than 64 f), edge cases (a fine and several coarse angle grids,
 a 16-element feeder on an 8-element surface, a tilted table whose first
 point is undefined, a table of 70 distances, surface patterns up to 1024
 elements wide, a distance whose isotropic loss overflows, a scan on the
-first rows of a wider steering matrix) and the benchmark ops at seeds
-701 and 702, which come from ``bench/workloads.py`` (imported, never
-changed).
+first rows of a wider steering matrix, 1024-element feeder patterns out
+to +/-90 degrees, a tilted table at 16 x 1024) and the benchmark ops at
+seeds 701 and 702, which come from ``bench/workloads.py`` (imported,
+never changed).
 """
 
 import hashlib
@@ -81,7 +82,13 @@ EDGE = [
     # a 200-row steering matrix on the default grid, then a min_sll scan
     # whose real product reads its first 128 rows
     "pattern --array ris --np 200 --f 80",
-    "sweep-f --np 128 --f-min 60 --f-max 140 --objective min_sll"]
+    "sweep-f --np 128 --f-min 60 --f-max 140 --objective min_sll",
+    # feeder patterns whose end cells at +/-90 degrees carry the element
+    # gain's rounded cos(pi/2)
+    "pattern --na 1024 --np 8 --f 8",
+    "pattern --na 1024 --np 4 --f 2 --feed end",
+    # the T kernel at the mode_table shape, tilted
+    "table --na 16 --np 1024 --f 20,40,60,80,100 --feed end --tilted"]
 
 BENCH_SEEDS = (701, 702)
 BENCH_OPS = {"sweep_f": 4, "mode_table": 8, "report_files": 8}
