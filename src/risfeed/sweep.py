@@ -150,8 +150,9 @@ def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
 
 
 def write_table_csv(records, path):
-    """Emit sweep records in the fixed table layout, 6 decimal places; an
-    undefined point has eight empty metric cells."""
+    """Emit sweep records in the fixed table layout, f as its shortest
+    round-trip repr, metrics to 6 decimal places; an undefined point has
+    eight empty metric cells."""
     rows = []
     for i, rec in enumerate(records, start=1):
         m, cells = rec.metrics, [""] * 8
@@ -160,16 +161,17 @@ def write_table_csv(records, path):
             # the sigma columns describe the PEM: sigma_1^2 is its power
             cells = ["%.6f" % x for x in sig[:4] + [
                 m.sum_db, m.cond, m.l_iso_db, m.f_over_d]]
-        rows.append([i, rec.n_a, rec.n_p, rec.f, rec.feed] + cells)
+        rows.append([i, rec.n_a, rec.n_p, float(rec.f), rec.feed] + cells)
     _write_csv(path, ["sl_no", "n_a", "n_p", "f", "feed", "beam",
                       "sigma1_db", "sigma2_db", "sigma3_db", "sigma4_db",
                       "sum_db", "cond", "l_iso_db", "f_over_d"],
-               "%s,%s,%s,%g,%s,pem" + ",%s" * 8, zip(*rows))
+               "%s,%s,%s,%r,%s,pem" + ",%s" * 8, zip(*rows))
 
 
 def write_trace_csv(trace, best_f, objective, path):
-    """Emit an optimization trace for audit."""
-    _write_csv(path, ["f", objective, "is_best"], "%g,%s,%d",
-               [[f for f, _ in trace],
+    """Emit an optimization trace for audit, f as its shortest
+    round-trip repr."""
+    _write_csv(path, ["f", objective, "is_best"], "%r,%s,%d",
+               [[float(f) for f, _ in trace],
                 ["" if val is None else "%.9e" % val for _, val in trace],
                 [f == best_f for f, _ in trace]])

@@ -130,7 +130,7 @@ def csv_write_table(records, path):
                     "sum_db", "cond", "l_iso_db", "f_over_d"])
         for i, rec in enumerate(records, start=1):
             m = rec.metrics
-            head = [i, rec.n_a, rec.n_p, f"{rec.f:g}", rec.feed, "pem"]
+            head = [i, rec.n_a, rec.n_p, repr(float(rec.f)), rec.feed, "pem"]
             if m is None:
                 w.writerow(head + [""] * 8)
                 continue
@@ -145,7 +145,7 @@ def csv_write_trace(trace, best_f, objective, path):
         w = csv.writer(fh)
         w.writerow(["f", objective, "is_best"])
         for f, val in trace:
-            w.writerow([f"{f:g}",
+            w.writerow([repr(float(f)),
                         "" if val is None else f"{val:.9e}",
                         int(f == best_f)])
 

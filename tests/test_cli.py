@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from risfeed import sweep
 from risfeed.cli import main
 from risfeed.sweep import optimize_f
 
@@ -248,7 +249,7 @@ class TestTable:
         assert capsys.readouterr().err == ""
         assert run_cli(*args, "--f", "8", "--out", str(alone)) == 0
         header, undefined, row = both.read_text().splitlines()
-        assert undefined == "1,16,8,1,end,pem" + "," * 8
+        assert undefined == "1,16,8,1.0,end,pem" + "," * 8
         assert [header, "1" + row[1:]] == alone.read_text().splitlines()
         assert row.startswith("2,")
 
@@ -260,7 +261,7 @@ class TestTable:
                        "--feed", "end", "--tilted", "--out", str(out)) == 0
         assert capsys.readouterr().err == ""
         assert out.read_text().splitlines()[1:] == [
-            f"{i},16,8,{i},end,pem" + "," * 8 for i in (1, 2)]
+            f"{i},16,8,{i}.0,end,pem" + "," * 8 for i in (1, 2)]
 
 
 class TestPatternAndProfile:
@@ -341,6 +342,38 @@ class TestSweepF:
         first_min = 4 + vals.index(min(vals))
         assert [best for _, _, best in rows] == [
             "1" if i == first_min else "0" for i in range(20)]
+
+
+@pytest.mark.parametrize("argv, column", [
+    (("table", "--na", "6", "--np", "4", "--f", "100.1234,100.1236"), 3),
+    (("sweep-f", "--np", "8", "--feed", "center", "--beam", "pem",
+      "--f-min", "100.1234", "--f-max", "100.1236", "--f-step", "1e-4",
+      "--objective", "max_power"), 0),
+])
+def test_f_column_reads_back_as_the_analyzed_f(argv, column, tmp_path,
+                                               monkeypatch):
+    # 6 significant digits printed 100.1235 and 100.1236 alike
+    analyzed = []
+    run_grid, optimize_f = sweep.run_grid, sweep.optimize_f
+
+    def grid_spy(*args):
+        records = run_grid(*args)
+        analyzed.extend(rec.f for rec in records)
+        return records
+
+    def scan_spy(*args):
+        best_f, trace = optimize_f(*args)
+        analyzed.extend(f for f, _ in trace)
+        return best_f, trace
+
+    monkeypatch.setattr(sweep, "run_grid", grid_spy)
+    monkeypatch.setattr(sweep, "optimize_f", scan_spy)
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    read_back = [float(line.split(",")[column])
+                 for line in out.read_text().splitlines()[1:]]
+    assert len(set(analyzed)) == len(analyzed) >= 2
+    assert read_back == analyzed
 
 
 class TestConfigFile:
