@@ -5,9 +5,9 @@ one-sided Jacobi working directly on the rectangular matrix, the
 one-element feeder's power is an exact sum over scalar geometry, which
 needs neither T nor an SVD, and the sidelobe oracle walks the sampled
 curve one sample at a time, the loop that the package's array
-comparisons replaced. The CSV writers below
-are the package's former per-row csv.writer bodies, the byte-for-byte
-reference for its block-formatted writers.
+comparisons replaced. The CSV writers below are the package's former
+per-row csv.writer bodies, the byte-for-byte reference for its
+block-formatted writers.
 """
 
 import csv

@@ -24,8 +24,7 @@ class TestElementGain:
         assert element_gain(np.pi) == 0.0
 
     def test_rounded_cosine_at_90_deg(self):
-        # cos(pi/2) rounds to 6.1e-17, not 0: a gain far below the
-        # pattern's 1e-30 power floor
+        # cos(pi/2) rounds to 6.1e-17, not 0, so the gain is 1.5e-32
         assert element_gain(np.pi / 2) < 1e-31
         assert element_gain(-np.pi / 2) < 1e-31
 
@@ -80,6 +79,7 @@ class TestSingleFeederOracle:
                     worst = max(worst, abs(10.0 * math.log10(ratio)))
         # measured: at most 2.9e-15 dB
         assert worst <= 1e-14
+
 
 class TestBuildT:
     def test_single_pair_magnitude(self):
