@@ -17,9 +17,11 @@ a 16-element feeder on an 8-element surface, a tilted table whose first
 point is undefined, a table of 70 distances, surface patterns up to 1024
 elements wide, a distance whose isotropic loss overflows, a scan on the
 first rows of a wider steering matrix, 1024-element feeder patterns out
-to +/-90 degrees, a tilted table at 16 x 1024) and the benchmark ops at
-seeds 701 and 702, which come from ``bench/workloads.py`` (imported,
-never changed).
+to +/-90 degrees, a tilted table at 16 x 1024, tables padded with
+``nan`` sigma cells for N_a < 4, and a feeder wider than its surface,
+whose zero sigma gives ``-inf``/``inf`` table cells and ``null`` report
+values) and the benchmark ops at seeds 701 and 702, which come from
+``bench/workloads.py`` (imported, never changed).
 """
 
 import hashlib
@@ -88,7 +90,14 @@ EDGE = [
     "pattern --na 1024 --np 8 --f 8",
     "pattern --na 1024 --np 4 --f 2 --feed end",
     # the T kernel at the mode_table shape, tilted
-    "table --na 16 --np 1024 --f 20,40,60,80,100 --feed end --tilted"]
+    "table --na 16 --np 1024 --f 20,40,60,80,100 --feed end --tilted",
+    # sigma columns padded with nan for N_a < 4
+    "table --na 2 --np 8 --f 4,8",
+    "table --na 1 --np 8 --f 8",
+    # a 4-element feeder on a 2-element surface: zero sigma, so -inf
+    # sigma and inf cond cells in the table, null ones in the report
+    "table --na 4 --np 2 --f 8",
+    "analyze --na 4 --np 2 --f 8"]
 
 BENCH_SEEDS = (701, 702)
 BENCH_OPS = {"sweep_f": 4, "mode_table": 8, "report_files": 8}
