@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end, and the one module that writes output files:
+every output format is defined here, and the other modules only compute.
 
 Subcommands:
   analyze   single-scenario mode report (JSON)
@@ -16,12 +17,13 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
+
+import numpy as np
 
 from . import sweep as sweep_mod
-from .modes import mode_report, write_mode_report
 from .patterns import (amaf_pattern, ris_pattern, ris_excitation,
-                       default_grid, write_pattern_csv, write_profile_csv,
-                       DEFAULT_GRID_STEP_DEG)
+                       default_grid, DEFAULT_GRID_STEP_DEG)
 
 # most angle or f samples one command may scan: 0.005 deg over [-90, 90]
 MAX_GRID_POINTS = 36001
@@ -181,6 +183,98 @@ def _validate(args):
         raise UsageError("--tilted requires --feed end")
 
 
+def _write_csv(path, header, row_format, columns):
+    """Write a header line and one row per index of the columns.
+
+    row_format is a %-template for one row; every cell is formatted by
+    one % on the template repeated once per row, and the file is one
+    write. Rows end in CRLF and no field is quoted, as csv.writer's
+    defaults give for fields without commas, quotes or line breaks.
+    """
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c
+               for c in columns]
+    cells = tuple(chain.from_iterable(zip(*columns)))
+    rows = len(cells) // len(columns) if columns else 0
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n"
+                 + (row_format + "\r\n") * rows % cells)
+
+
+def _finite_or_none(x):
+    return x if math.isfinite(x) else None
+
+
+def mode_report(modes, metrics, scenario):
+    """JSON-ready report of one scenario's mode analysis; an undefined
+    value (the dB of a zero sigma, the cond of a rank-deficient T) is
+    None, so the file is strict JSON."""
+    v1 = modes.right_vectors[:, 0]
+    return {
+        "scenario": {
+            "n_a": scenario.n_a,
+            "n_p": scenario.n_p,
+            "f": scenario.f,
+            "feed": scenario.feed_style,
+            "tilted": scenario.tilted,
+        },
+        "sigma_sq_db": [_finite_or_none(x) for x in metrics.sigma_sq_db],
+        "sum_db": metrics.sum_db,
+        "cond": _finite_or_none(metrics.cond),
+        "l_iso_db": metrics.l_iso_db,
+        "f_over_d": metrics.f_over_d,
+        "v1_re": v1.real.tolist(),
+        "v1_im": v1.imag.tolist(),
+    }
+
+
+def write_mode_report(report, path):
+    text = json.dumps(report, indent=2, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+def write_pattern_csv(curve, path):
+    _write_csv(path, ["angle_deg", "power_dbi", "power_norm_db"],
+               "%.6f,%.6f,%.6f",
+               [curve.angles_deg, curve.power_dbi, curve.power_norm_db])
+
+
+def write_profile_csv(magnitudes, path):
+    """Surface excitation magnitudes, elements numbered from 1."""
+    _write_csv(path, ["element_index", "magnitude", "magnitude_db"],
+               "%d,%.12e,%.6f",
+               [np.arange(1, magnitudes.size + 1), magnitudes,
+                20.0 * np.log10(np.maximum(magnitudes, 1e-300))])
+
+
+def write_table_csv(records, path):
+    """Emit sweep records in the fixed table layout, f as its shortest
+    round-trip repr, metrics to 6 decimal places; an undefined point has
+    eight empty metric cells."""
+    rows = []
+    for i, rec in enumerate(records, start=1):
+        m, cells = rec.metrics, [""] * 8
+        if m is not None:
+            sig = list(m.sigma_sq_db) + [float("nan")] * (4 - rec.n_a)
+            # the sigma columns describe the PEM: sigma_1^2 is its power
+            cells = ["%.6f" % x for x in sig[:4] + [
+                m.sum_db, m.cond, m.l_iso_db, m.f_over_d]]
+        rows.append([i, rec.n_a, rec.n_p, float(rec.f), rec.feed] + cells)
+    _write_csv(path, ["sl_no", "n_a", "n_p", "f", "feed", "beam",
+                      "sigma1_db", "sigma2_db", "sigma3_db", "sigma4_db",
+                      "sum_db", "cond", "l_iso_db", "f_over_d"],
+               "%s,%s,%s,%r,%s,pem" + ",%s" * 8, zip(*rows))
+
+
+def write_trace_csv(trace, best_f, objective, path):
+    """Emit an optimization trace for audit, f as its shortest
+    round-trip repr."""
+    _write_csv(path, ["f", objective, "is_best"], "%r,%s,%d",
+               [[float(f) for f, _ in trace],
+                ["" if val is None else "%.9e" % val for _, val in trace],
+                [f == best_f for f, _ in trace]])
+
+
 def _analysis(args):
     return sweep_mod.analyze_point(args.na, args.np, args.f, args.feed,
                                    args.tilted)
@@ -200,7 +294,7 @@ def run(args):
     elif cmd == "table":
         records = sweep_mod.run_grid(args.na, args.np, args.f, args.feed,
                                      args.tilted)
-        sweep_mod.write_table_csv(records, args.out)
+        write_table_csv(records, args.out)
     elif cmd == "pattern":
         T, beam = _beam(args)
         grid = default_grid(args.grid_step)
@@ -219,7 +313,7 @@ def run(args):
         best_f, trace = sweep_mod.optimize_f(
             args.na, args.np, args.feed, args.tilted, args.beam,
             f_values, args.objective)
-        sweep_mod.write_trace_csv(trace, best_f, args.objective, args.out)
+        write_trace_csv(trace, best_f, args.objective, args.out)
     return 0
 
 

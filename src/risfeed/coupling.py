@@ -12,7 +12,6 @@ boresight.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -92,20 +91,3 @@ def _T_stack(scenarios):
 def build_T(scenario):
     """Assemble the full propagation matrix for a scenario."""
     return PropagationMatrix(entries=_T_stack([scenario])[0])
-
-
-def _write_csv(path, header, row_format, columns):
-    """Write a header line and one row per index of the columns.
-
-    row_format is a %-template for one row; every cell is formatted by
-    one % on the template repeated once per row, and the file is one
-    write. Rows end in CRLF and no field is quoted, as csv.writer's
-    defaults give for fields without commas, quotes or line breaks.
-    """
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c
-               for c in columns]
-    cells = tuple(chain.from_iterable(zip(*columns)))
-    rows = len(cells) // len(columns) if columns else 0
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n"
-                 + (row_format + "\r\n") * rows % cells)

@@ -15,8 +15,6 @@ the last bit (0.5201632027331892 against ...891 for v_1 at center feed
 (4, 2, 8)). The pivot is still found by np.abs of each column.
 """
 
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,37 +147,3 @@ def mode_metrics(modes: ModeAnalysis, scenario: Scenario) -> ModeMetrics:
                        cond=cond,
                        l_iso_db=isotropic_loss_db(scenario.f),
                        f_over_d=scenario.f_over_d)
-
-
-def _finite_or_none(x):
-    return x if math.isfinite(x) else None
-
-
-def mode_report(modes: ModeAnalysis, metrics: ModeMetrics,
-                scenario: Scenario) -> dict:
-    """JSON-ready report of one scenario's mode analysis; an undefined
-    value (the dB of a zero sigma, the cond of a rank-deficient T) is
-    None, so the file is strict JSON."""
-    v1 = modes.right_vectors[:, 0]
-    return {
-        "scenario": {
-            "n_a": scenario.n_a,
-            "n_p": scenario.n_p,
-            "f": scenario.f,
-            "feed": scenario.feed_style,
-            "tilted": scenario.tilted,
-        },
-        "sigma_sq_db": [_finite_or_none(x) for x in metrics.sigma_sq_db],
-        "sum_db": metrics.sum_db,
-        "cond": _finite_or_none(metrics.cond),
-        "l_iso_db": metrics.l_iso_db,
-        "f_over_d": metrics.f_over_d,
-        "v1_re": v1.real.tolist(),
-        "v1_im": v1.imag.tolist(),
-    }
-
-
-def write_mode_report(report: dict, path):
-    text = json.dumps(report, indent=2, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")

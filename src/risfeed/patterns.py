@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import PropagationMatrix, _write_csv, element_gain
+from .coupling import PropagationMatrix, element_gain
 from .modes import BeamVector
 
 DEFAULT_GRID_STEP_DEG = 0.05
@@ -166,17 +166,3 @@ def sidelobe_level(curve: PatternCurve):
     if outside.size == 0:
         return None
     return float(outside.max())
-
-
-def write_pattern_csv(curve: PatternCurve, path):
-    _write_csv(path, ["angle_deg", "power_dbi", "power_norm_db"],
-               "%.6f,%.6f,%.6f",
-               [curve.angles_deg, curve.power_dbi, curve.power_norm_db])
-
-
-def write_profile_csv(magnitudes, path):
-    """Surface excitation magnitudes, elements numbered from 1."""
-    _write_csv(path, ["element_index", "magnitude", "magnitude_db"],
-               "%d,%.12e,%.6f",
-               [np.arange(1, magnitudes.size + 1), magnitudes,
-                20.0 * np.log10(np.maximum(magnitudes, 1e-300))])

@@ -8,7 +8,7 @@ import numpy as np
 
 from .geometry import (FeederBelowSurfaceError, make_center_feed,
                        make_end_feed)
-from .coupling import _T_stack, _write_csv, build_T
+from .coupling import _T_stack, build_T
 from .modes import (ModeAnalysis, ModeMetrics, _svd_stack, mode_metrics,
                     nonpem_vector, svd_modes)
 # ris_pattern is not called here, but bench/selftest.py wraps this binding
@@ -147,31 +147,3 @@ def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
     # min keeps the first of equal keys: ties go to the smaller f
     best_f, _ = min(defined, key=lambda row: sign * row[1])
     return best_f, trace
-
-
-def write_table_csv(records, path):
-    """Emit sweep records in the fixed table layout, f as its shortest
-    round-trip repr, metrics to 6 decimal places; an undefined point has
-    eight empty metric cells."""
-    rows = []
-    for i, rec in enumerate(records, start=1):
-        m, cells = rec.metrics, [""] * 8
-        if m is not None:
-            sig = list(m.sigma_sq_db) + [float("nan")] * (4 - rec.n_a)
-            # the sigma columns describe the PEM: sigma_1^2 is its power
-            cells = ["%.6f" % x for x in sig[:4] + [
-                m.sum_db, m.cond, m.l_iso_db, m.f_over_d]]
-        rows.append([i, rec.n_a, rec.n_p, float(rec.f), rec.feed] + cells)
-    _write_csv(path, ["sl_no", "n_a", "n_p", "f", "feed", "beam",
-                      "sigma1_db", "sigma2_db", "sigma3_db", "sigma4_db",
-                      "sum_db", "cond", "l_iso_db", "f_over_d"],
-               "%s,%s,%s,%r,%s,pem" + ",%s" * 8, zip(*rows))
-
-
-def write_trace_csv(trace, best_f, objective, path):
-    """Emit an optimization trace for audit, f as its shortest
-    round-trip repr."""
-    _write_csv(path, ["f", objective, "is_best"], "%r,%s,%d",
-               [[float(f) for f, _ in trace],
-                ["" if val is None else "%.9e" % val for _, val in trace],
-                [f == best_f for f, _ in trace]])

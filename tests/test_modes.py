@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from risfeed.geometry import make_center_feed, make_end_feed
+from risfeed.cli import mode_report
 from risfeed.coupling import build_T
 from risfeed.modes import (BeamVector, svd_modes, power_transfer,
-                           mode_metrics, nonpem_vector, isotropic_loss_db,
-                           mode_report)
+                           mode_metrics, nonpem_vector, isotropic_loss_db)
 
 from oracles import one_sided_jacobi_svd
 

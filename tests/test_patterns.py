@@ -9,14 +9,13 @@ import pytest
 
 import risfeed
 from risfeed import patterns
-from risfeed.cli import main
+from risfeed.cli import main, write_pattern_csv, write_profile_csv
 from risfeed.geometry import make_center_feed, make_end_feed
 from risfeed.coupling import build_T, element_gain
 from risfeed.modes import BeamVector, svd_modes, nonpem_vector, power_transfer
 from risfeed.patterns import (PatternCurve, steering_vector, amaf_pattern,
                               ris_excitation, ris_pattern, sidelobe_level,
-                              default_grid, write_pattern_csv,
-                              write_profile_csv)
+                              default_grid)
 from risfeed.sweep import optimize_f
 
 from oracles import brute_force_sidelobe

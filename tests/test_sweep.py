@@ -3,12 +3,12 @@ import filecmp
 import numpy as np
 import pytest
 
+from risfeed.cli import write_table_csv, write_trace_csv
 from risfeed.geometry import FeederBelowSurfaceError
 from risfeed.modes import ModeAnalysis, nonpem_vector
 from risfeed.patterns import ris_pattern, sidelobe_level
 from risfeed.sweep import (OBJECTIVES, _CHUNK, run_grid, optimize_f,
-                           write_table_csv, write_trace_csv, analyze_point,
-                           _beam_for, _stacks)
+                           analyze_point, _beam_for, _stacks)
 
 # feed styles analyze_point does not know: it builds only "end" (tilted
 # or not) and untilted "center"

@@ -6,14 +6,15 @@ undefined rows, ties, the magnitude floor, and the finest angle grid."""
 import numpy as np
 import pytest
 
+from risfeed import cli, coupling, modes, patterns, sweep
+from risfeed.cli import (write_pattern_csv, write_profile_csv,
+                         write_table_csv, write_trace_csv)
 from risfeed.geometry import make_center_feed
 from risfeed.coupling import build_T
 from risfeed.modes import ModeMetrics, svd_modes
 from risfeed.patterns import (PatternCurve, amaf_pattern, default_grid,
-                              ris_excitation, ris_pattern, write_pattern_csv,
-                              write_profile_csv)
-from risfeed.sweep import (SweepRecord, optimize_f, run_grid,
-                           write_table_csv, write_trace_csv)
+                              ris_excitation, ris_pattern)
+from risfeed.sweep import SweepRecord, optimize_f, run_grid
 
 import oracles
 
@@ -142,3 +143,18 @@ class TestTraceCsv:
         assert_same_bytes(tmp_path, write_trace_csv,
                           oracles.csv_write_trace, [], None, "max_power")
 
+
+WRITERS = ("_write_csv", "mode_report", "write_mode_report",
+           "write_pattern_csv", "write_profile_csv", "write_table_csv",
+           "write_trace_csv")
+
+
+@pytest.mark.parametrize("module", [coupling, modes, patterns, sweep],
+                         ids=lambda m: m.__name__)
+def test_only_cli_knows_a_file_format(module):
+    """coupling, modes, patterns and sweep only compute: none of them
+    binds a writer, the report builder or json; cli.py holds them all."""
+    bound = [name for name in vars(module)
+             if name.startswith("write_") or name in WRITERS + ("json",)]
+    assert bound == []
+    assert all(callable(getattr(cli, name)) for name in WRITERS)
