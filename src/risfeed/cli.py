@@ -1,5 +1,4 @@
-"""Command-line front end, and the one module that writes output files:
-every output format is defined here, and the other modules only compute.
+"""Command-line front end, and the one module that writes output files.
 
 Subcommands:
   analyze   single-scenario mode report (JSON)
@@ -17,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -175,12 +175,19 @@ def _validate(args):
                              + name.replace("_", "-"))
     if sweep and args.f_min > args.f_max:
         raise UsageError("--f-min must not exceed --f-max")
-    if sweep and (args.f_max - args.f_min) / args.f_step > (
-            MAX_GRID_POINTS - 1):
+    if sweep and _f_grid(args)[0] > MAX_GRID_POINTS - 1:
         raise UsageError(f"--f-step gives more than {MAX_GRID_POINTS} "
                          f"distances")
     if args.tilted and args.feed != "end":
         raise UsageError("--tilted requires --feed end")
+
+
+def _f_grid(args):
+    """Step count n = floor((f_max - f_min) / f_step) and sweep-f's n + 1
+    distances, each the float nearest its exact decimal f_min + i * f_step."""
+    lo, step = Fraction(repr(args.f_min)), Fraction(repr(args.f_step))
+    n = math.floor((Fraction(repr(args.f_max)) - lo) / step)
+    return n, (float(lo + i * step) for i in range(n + 1))
 
 
 def _write_csv(path, header, row_format, columns):
@@ -292,27 +299,21 @@ def run(args):
         scenario, _, modes, metrics = _analysis(args)
         write_mode_report(mode_report(modes, metrics, scenario), args.out)
     elif cmd == "table":
-        records = sweep_mod.run_grid(args.na, args.np, args.f, args.feed,
-                                     args.tilted)
-        write_table_csv(records, args.out)
+        write_table_csv(sweep_mod.run_grid(args.na, args.np, args.f,
+                                           args.feed, args.tilted), args.out)
     elif cmd == "pattern":
         T, beam = _beam(args)
         grid = default_grid(args.grid_step)
-        if args.array == "amaf":
-            curve = amaf_pattern(beam, grid)
-        else:
-            curve = ris_pattern(T, beam, grid)
+        curve = (amaf_pattern(beam, grid) if args.array == "amaf"
+                 else ris_pattern(T, beam, grid))
         write_pattern_csv(curve, args.out)
     elif cmd == "profile":
         T, beam = _beam(args)
         write_profile_csv(ris_excitation(T, beam), args.out)
     elif cmd == "sweep-f":
-        n_steps = int(round((args.f_max - args.f_min) / args.f_step))
-        f_values = [args.f_min + i * args.f_step for i in range(n_steps + 1)]
-        f_values = [f for f in f_values if f <= args.f_max + 1e-9]
         best_f, trace = sweep_mod.optimize_f(
             args.na, args.np, args.feed, args.tilted, args.beam,
-            f_values, args.objective)
+            _f_grid(args)[1], args.objective)
         write_trace_csv(trace, best_f, args.objective, args.out)
     return 0
 

@@ -343,6 +343,16 @@ class TestSweepF:
         assert [best for _, _, best in rows] == [
             "1" if i == first_min else "0" for i in range(20)]
 
+    def test_f_on_the_decimal_grid(self, tmp_path):
+        # in floats, 5 + 7 * 0.7 is 9.899999999999999
+        out = tmp_path / "trace.csv"
+        assert run_cli("sweep-f", "--np", "8", "--f-min", "5", "--f-max",
+                       "95", "--f-step", "0.7", "--objective", "max_power",
+                       "--out", str(out)) == 0
+        f = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert len(f) == 129 and f[7] == "9.9"
+        assert f == [repr(round(5 + i * 0.7, 1)) for i in range(129)]
+
 
 @pytest.mark.parametrize("argv, column", [
     (("table", "--na", "6", "--np", "4", "--f", "100.1234,100.1236"), 3),
