@@ -189,15 +189,17 @@ class TestAnalyze:
     def test_overflowing_isotropic_loss_is_one_error_line(self, cmd, capsys,
                                                           tmp_path):
         # (2 pi f)^2 overflows a float above f = 2.2e153, where T is
-        # still finite: one error naming f, not an OverflowError
+        # still finite: one error naming f as repr, not an OverflowError
         out = tmp_path / "o"
-        rc = run_cli(cmd, "--na", "4", "--np", "8", "--f", "3e153",
-                     "--out", str(out))
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.count("\n") == 1 and err.startswith("error: ")
-        assert err.endswith("isotropic loss overflows at f=3e+153\n")
-        assert not out.exists()
+        for f in ("3e153", "2.5000001e153"):
+            rc = run_cli(cmd, "--na", "4", "--np", "8", "--f", f,
+                         "--out", str(out))
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.count("\n") == 1 and err.startswith("error: ")
+            assert err.endswith(
+                f"isotropic loss overflows at f={float(f)!r}\n")
+            assert not out.exists()
 
     def test_rank_deficient_report_is_strict_json(self, tmp_path):
         # N_p=2 < N_a=4: sigma_3 = sigma_4 = 0, so their dB and cond are
