@@ -315,3 +315,77 @@ def test_criterion_8_sidelobe_behavior():
                   f"end f={f} {label} sidelobe {end_sll:.2f} not above "
                   f"center {center_sll:.2f}")
     finish("criterion 8: sidelobe behavior", failures)
+
+
+F_OVER_D = (0.05, 0.1, 0.2, 0.5, 1, 2, 5, 20)
+
+
+def friis_excess_db(n_a, n_p, feed, tilted, f_over_d):
+    """Delta = sigma_1^2 - l_iso(f) - 10 log10(16 N_a N_p) dB at each f/D:
+    the principal mode's power over its far-field Friis value."""
+    records = run_grid(n_a, [n_p], [q * n_p for q in f_over_d], feed, tilted)
+    return np.array([rec.metrics.sigma_sq_db[0] - rec.metrics.l_iso_db
+                     for rec in records]) - 10 * np.log10(16 * n_a * n_p)
+
+
+def center_feed_law_db(f_over_d):
+    """The N_p -> infinity limit of a one-element center feed's Delta:
+    10 log10(2 (f/D) F(D/2f)), F(a) = a/(4(1+a^2)^2) + 3a/(8(1+a^2))
+    + (3/8) arctan(a)."""
+    q = np.asarray(f_over_d, dtype=float)
+    a = 1 / (2 * q)
+    F = (a / (4 * (1 + a * a) ** 2) + 3 * a / (8 * (1 + a * a))
+         + 3 / 8 * np.arctan(a))
+    return 10 * np.log10(2 * q * F)
+
+
+def test_criterion_9_abstract_claims():
+    """The abstract's claims: the power transfer departs from the
+    inverse-square law at f/D < 1 (the aperture taper), depends more on
+    f/D than on the surface size, and is larger with the center feed.
+
+    (a) At N_a = 1, sigma_1^2 is an exact sum over the surface that needs
+        neither T nor an SVD: tests/test_coupling.py::TestSingleFeederOracle.
+    (b) At N_a = 1 the center feed's Delta is a law of f/D alone,
+        center_feed_law_db: 0 (Friis) as f/D grows, 10 dB per decade below
+        f/D ~ 1. Its error is 1.68e-2 dB at N_p 32, so the check covers
+        N_p >= 128.
+    (c) At N_a = 4 the center feed's Delta is below 0 and rises with f/D;
+        at f/D >= 0.2 its spread over N_p 32..1024 stays within the
+        table's tolerance; and on N_p 32..512 x f/D 0.1..1 its sigma_1^2
+        beats the flat and the tilted end feeds'. The grid starts at
+        f/D 0.1 because at f/D 0.05, N_p 32 (f = 1.6) the tilted end feed
+        beats the center feed by 8.30 dB.
+
+    Every other bound is the measured envelope.
+    """
+    failures = []
+    # measured: at most 3.36e-5 dB at N_p 128 and 5.25e-7 dB at 1024
+    for n_p, bound in ((128, 3.4e-5), (1024, 5.3e-7)):
+        err = np.abs(friis_excess_db(1, n_p, "center", False, F_OVER_D)
+                     - center_feed_law_db(F_OVER_D)).max()
+        check(failures, err <= bound,
+              f"N_a=1 N_p={n_p} Delta off the f/D law by {err:.3g} dB")
+    sizes = (32, 64, 128, 256, 512, 1024)
+    center = {n_p: friis_excess_db(4, n_p, "center", False, F_OVER_D)
+              for n_p in sizes}
+    for n_p, delta in center.items():
+        check(failures, delta.max() < 0 and np.all(np.diff(delta) > 0),
+              f"N_a=4 N_p={n_p} center Delta {np.round(delta, 3)} not "
+              f"negative and rising with f/D")
+    # measured: 0.034 dB at f/D 0.2, 0.129 dB at 0.1
+    spread = np.ptp(list(center.values()), axis=0)
+    for q, s in zip(F_OVER_D, spread):
+        check(failures, q < 0.2 or s <= TABLE_DB_TOL,
+              f"f/D={q} Delta spread {s:.3f} dB over N_p 32..1024")
+    near = F_OVER_D[1:5]
+    # measured minima: 0.3605 dB over the flat end feed, 0.6794 over the
+    # tilted one, both at N_p 32
+    for tilted, bound in ((False, 0.360), (True, 0.679)):
+        margin = min(np.min(center[n_p][1:5]
+                            - friis_excess_db(4, n_p, "end", tilted, near))
+                     for n_p in sizes[:-1])
+        check(failures, margin >= bound,
+              f"center over {'tilted' if tilted else 'flat'} end feed by "
+              f"{margin:.4f} dB, under {bound}")
+    finish("criterion 9: abstract claims", failures)
