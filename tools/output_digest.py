@@ -20,7 +20,9 @@ first rows of a wider steering matrix, 1024-element feeder patterns out
 to +/-90 degrees, a tilted table at 16 x 1024, tables padded with
 ``nan`` sigma cells for N_a < 4, and a feeder wider than its surface,
 whose zero sigma gives ``-inf``/``inf`` table cells and ``null`` report
-values) and the benchmark ops at seeds 701 and 702, which come from
+values, tilted end feeds over a one-element surface, with a one-element
+and an odd-sized feeder, and one whose feeder reaches the surface) and
+the benchmark ops at seeds 701 and 702, which come from
 ``bench/workloads.py`` (imported, never changed).
 """
 
@@ -97,7 +99,19 @@ EDGE = [
     # a 4-element feeder on a 2-element surface: zero sigma, so -inf
     # sigma and inf cond cells in the table, null ones in the report
     "table --na 4 --np 2 --f 8",
-    "analyze --na 4 --np 2 --f 8"]
+    "analyze --na 4 --np 2 --f 8",
+    # a tilted feeder over a one-element surface, where sin(alpha) is -0.0
+    "analyze --na 4 --np 1 --f 8 --feed end --tilted",
+    "table --na 4 --np 1 --f 0.5,1,8 --feed end --tilted",
+    # tilted one-element and odd-sized feeders; the three-element one
+    # reaches the surface at f = 0.5
+    "analyze --na 1 --np 8 --f 2 --feed end --tilted",
+    "pattern --array ris --na 1 --np 32 --f 4 --feed end --tilted",
+    "table --na 3 --np 8 --f 0.5,1,2,8 --feed end --tilted",
+    "sweep-f --na 3 --np 8 --feed end --tilted --f-min 0.25 --f-max 4 "
+    "--f-step 0.25 --objective max_power",
+    # a tilted feeder that reaches the surface: no file, exit 2
+    "analyze --na 16 --np 8 --f 1 --feed end --tilted"]
 
 BENCH_SEEDS = (701, 702)
 BENCH_OPS = {"sweep_f": 4, "mode_table": 8, "report_files": 8}
