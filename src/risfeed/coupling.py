@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _layout
+
 
 def element_gain(theta):
     """Patch-element power gain 4*max(cos(theta), 0)^2.
@@ -49,34 +51,34 @@ class PropagationMatrix:
         return self.entries @ weights
 
 
-def _pair_geometry(scenarios):
-    """Distances and angle cosines between every surface element and the
-    elements of each scenario's feeder, all above the surface of the
-    first scenario.
+def _pair_geometry(surface, surface_boresight, feeders, feeder_boresights):
+    """Distances and angle cosines between the (N_p, 2) surface positions,
+    whose elements face surface_boresight, and the elements of each
+    (F, N_a, 2) feeder, which face its row of feeder_boresights.
 
-    Returns (r, cos_theta, cos_phi), each shaped (scenario, surface, feeder).
+    Returns (r, cos_theta, cos_phi), each shaped (feeder, surface, feeder
+    element).
     """
-    ris = scenarios[0].ris
-    apos = np.array([s.amaf.positions for s in scenarios])     # (F, N_a, 2)
-    abore = np.array([s.amaf.boresight for s in scenarios])    # (F, 2)
-    d = ris.positions[:, None, :] - apos[:, None, :, :]    # feeder -> surface
+    d = surface[:, None, :] - feeders[:, None, :, :]    # feeder -> surface
     r = np.linalg.norm(d, axis=-1)
     if np.any(r == 0.0):
         _, n, m = np.argwhere(r == 0.0)[0]
         raise ValueError(f"coincident elements: surface {n}, feeder {m}")
-    # a (2, 1) column per scenario: these bits match d @ boresight of one
-    cos_theta = np.matmul(d, abore[..., None, :, None])[..., 0] / r
-    cos_phi = (-d @ ris.boresight) / r
+    # a (2, 1) column per feeder: these bits match d @ boresight of one
+    cos_theta = (np.matmul(d, feeder_boresights[..., None, :, None])[..., 0]
+                 / r)
+    cos_phi = (-d @ surface_boresight) / r
     return r, cos_theta, cos_phi
 
 
-def _T_stack(scenarios):
-    """(F, N_p, N_a) propagation entries of F scenarios whose feeders sit
-    above the surface of the first; the bits of entry [k] do not depend
+def _T_stack(surface, surface_boresight, feeders, feeder_boresights, f):
+    """(F, N_p, N_a) propagation entries from the arrays _pair_geometry
+    takes, feeder k at distance f[k]; the bits of entry [k] do not depend
     on the rest of the stack. A distance so large that r overflows
     raises a ValueError naming its f, in place of numpy warnings."""
     with np.errstate(all="ignore"):
-        r, cos_theta, cos_phi = _pair_geometry(scenarios)
+        r, cos_theta, cos_phi = _pair_geometry(
+            surface, surface_boresight, feeders, feeder_boresights)
         # sqrt(E(theta) * E(phi)) with E = 4*cos+^2
         amp = (4.0 * np.maximum(cos_theta, 0.0) * np.maximum(cos_phi, 0.0)
                / (2.0 * np.pi * r))
@@ -84,10 +86,13 @@ def _T_stack(scenarios):
     if not np.isfinite(entries).all():
         k = np.argmin(np.isfinite(entries).all(axis=(1, 2)))
         raise ValueError("propagation matrix is not finite at "
-                         f"f={scenarios[k].f!r}")
+                         f"f={float(f[k])!r}")
     return entries
 
 
 def build_T(scenario):
     """Assemble the full propagation matrix for a scenario."""
-    return PropagationMatrix(entries=_T_stack([scenario])[0])
+    f = np.array([float(scenario.f)])
+    layout = _layout(scenario.n_a, scenario.n_p, f, scenario.feed_style,
+                     scenario.tilted)
+    return PropagationMatrix(entries=_T_stack(*layout, f)[0])

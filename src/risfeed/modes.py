@@ -63,7 +63,7 @@ class ModeMetrics:
     sum_db: float
     cond: float
     l_iso_db: float
-    f_over_d: float
+    f_over_d: float     # f over the surface size D = N_p lambda/2
 
 
 def _fix_phase(Vh):
@@ -112,11 +112,6 @@ def svd_modes(T: PropagationMatrix) -> ModeAnalysis:
                         left_vectors=left[0])
 
 
-def power_transfer(T: PropagationMatrix, b: BeamVector) -> float:
-    """Power delivered to the surface by a unit-power feeder excitation."""
-    return float(np.linalg.norm(T.apply(b.weights)) ** 2)
-
-
 def nonpem_vector(v1: BeamVector) -> BeamVector:
     """Element-wise magnitudes of a beam: phases removed, norm preserved."""
     return BeamVector(np.abs(v1.weights).astype(complex))
@@ -146,4 +141,4 @@ def mode_metrics(modes: ModeAnalysis, scenario: Scenario) -> ModeMetrics:
                        sum_db=float(sum_db),
                        cond=cond,
                        l_iso_db=isotropic_loss_db(scenario.f),
-                       f_over_d=scenario.f_over_d)
+                       f_over_d=scenario.f / scenario.n_p)

@@ -2,11 +2,10 @@
 scans for the best feeder distance."""
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .geometry import (FeederBelowSurfaceError, make_center_feed,
+from .geometry import (Scenario, _clears, _layout, make_center_feed,
                        make_end_feed)
 from .coupling import _T_stack, build_T
 from .modes import (ModeAnalysis, ModeMetrics, _svd_stack, mode_metrics,
@@ -39,20 +38,12 @@ class SweepRecord:
     metrics: ModeMetrics | None
 
 
-def _scenario(n_a, n_p, f, feed_style, tilted):
-    """The geometry of one grid point: an "end" feed, tilted or not, or
-    an untilted "center" feed."""
-    if feed_style == "end":
-        return make_end_feed(n_a, n_p, f, tilted)
-    if feed_style == "center" and not tilted:
-        return make_center_feed(n_a, n_p, f)
-    raise ValueError(f"feed {feed_style!r} (tilted={tilted}) is not "
-                     f"'end' or an untilted 'center'")
-
-
 def analyze_point(n_a, n_p, f, feed_style, tilted=False):
-    """Mode analysis plus metrics for one grid point."""
-    scenario = _scenario(n_a, n_p, f, feed_style, tilted)
+    """Mode analysis plus metrics for one grid point: an "end" feed,
+    tilted or not, or an untilted "center" feed."""
+    Scenario(n_a, n_p, f, feed_style, tilted)    # rejects any other feed
+    scenario = (make_end_feed(n_a, n_p, f, tilted) if feed_style == "end"
+                else make_center_feed(n_a, n_p, f))
     T = build_T(scenario)
     modes = svd_modes(T)
     metrics = mode_metrics(modes, scenario)
@@ -91,19 +82,15 @@ def _stacks(n_a, n_p, feed_style, tilted, f_values):
     feeder clears the surface, each no larger than one T at the caps: M is
     the _T_stack of the scenarios at f_values[indices] and svd its
     _svd_stack, each matrix with the bits of analyze_point at its f."""
-    def scenarios():
-        for i, f in enumerate(f_values):
-            try:
-                yield i, _scenario(n_a, n_p, f, feed_style, tilted)
-            except FeederBelowSurfaceError:
-                pass
-
+    scenarios = [Scenario(n_a, n_p, f, feed_style, tilted) for f in f_values]
+    f = np.array(f_values, dtype=float)
+    clear = np.flatnonzero(_clears(n_a, n_p, f, feed_style, tilted))
     width = max(1, min(_CHUNK, 2 ** 20 // (n_p * n_a)))
-    stream = scenarios()
-    while chunk := list(islice(stream, width)):
-        index, stack = zip(*chunk)
-        M = _T_stack(stack)
-        yield index, stack, M, _svd_stack(M)
+    for start in range(0, clear.size, width):
+        index = clear[start:start + width].tolist()
+        M = _T_stack(*_layout(n_a, n_p, f[index], feed_style, tilted),
+                     f[index])
+        yield index, [scenarios[i] for i in index], M, _svd_stack(M)
 
 
 def _score(objective, X):

@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from risfeed.geometry import _layout
+
 
 def one_sided_jacobi_svd(A, tol=1e-15, max_sweeps=60):
     """SVD of a complex matrix by one-sided Jacobi column orthogonalization.
@@ -70,11 +72,14 @@ def single_feeder_power(scenario):
     """sigma_1^2 of a one-element feeder, where T is one column: the
     math.fsum over the surface of 16 cos+^2(theta) cos+^2(phi) / (2 pi r)^2,
     with r from math.hypot and cos+ = max(cos, 0) from scalar products."""
-    (ax, az), = scenario.amaf.positions.tolist()
-    abx, abz = scenario.amaf.boresight.tolist()
-    sbx, sbz = scenario.ris.boresight.tolist()
+    surface, up, feeders, boresights = _layout(
+        scenario.n_a, scenario.n_p, np.array([float(scenario.f)]),
+        scenario.feed_style, scenario.tilted)
+    (ax, az), = feeders[0].tolist()
+    abx, abz = boresights[0].tolist()
+    sbx, sbz = up.tolist()
     terms = []
-    for px, pz in scenario.ris.positions.tolist():
+    for px, pz in surface.tolist():
         dx, dz = px - ax, pz - az
         r = math.hypot(dx, dz)
         cos_theta = max((dx * abx + dz * abz) / r, 0.0)

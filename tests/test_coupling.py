@@ -3,13 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from risfeed.geometry import (ElementLayout, Scenario, make_center_feed,
-                              make_end_feed)
-from risfeed.coupling import element_gain, _pair_geometry, build_T
+from risfeed.geometry import _layout, make_center_feed, make_end_feed
+from risfeed.coupling import (PropagationMatrix, element_gain,
+                              _pair_geometry, _T_stack, build_T)
 from risfeed.modes import svd_modes
 from risfeed.sweep import _stacks
 
 from oracles import single_feeder_power
+
+
+def pair_geometry(scenario):
+    """_pair_geometry of one scenario's arrays."""
+    return _pair_geometry(*_layout(scenario.n_a, scenario.n_p,
+                                   np.array([float(scenario.f)]),
+                                   scenario.feed_style, scenario.tilted))
+
+
+def line(n, z, boresight):
+    """A hand-built n-element line along x at height z, centered on x = 0,
+    with its boresight."""
+    x = np.arange(n) - (n - 1) / 2.0
+    return np.column_stack([x, np.full(n, float(z))]), np.array(boresight,
+                                                                dtype=float)
 
 
 class TestElementGain:
@@ -39,14 +54,14 @@ class TestElementGain:
 
 class TestCouplingTerms:
     def test_facing_single_elements(self):
-        r, cos_theta, cos_phi = _pair_geometry([make_center_feed(1, 1, 8)])
+        r, cos_theta, cos_phi = pair_geometry(make_center_feed(1, 1, 8))
         assert r[0, 0, 0] == pytest.approx(8.0)
         assert cos_theta[0, 0, 0] == 1.0
         assert cos_phi[0, 0, 0] == 1.0
 
     def test_diagonal_pair_closed_form(self):
         # feeder element 0 at (-1.5, 4), surface element 7 at (3.5, 0)
-        r, cos_theta, cos_phi = _pair_geometry([make_center_feed(4, 8, 4)])
+        r, cos_theta, cos_phi = pair_geometry(make_center_feed(4, 8, 4))
         assert r[0, 7, 0] == pytest.approx(np.sqrt(41.0))
         assert cos_theta[0, 7, 0] == pytest.approx(4.0 / np.sqrt(41.0))
         assert cos_phi[0, 7, 0] == pytest.approx(4.0 / np.sqrt(41.0))
@@ -55,9 +70,9 @@ class TestCouplingTerms:
         sc = make_end_feed(4, 32, 16, tilted=True)
         # the surface centroid lies on the tilted boresight ray, so the
         # departure angle to a central element is nearly zero
-        _, mid, _ = _pair_geometry([sc])
+        _, mid, _ = pair_geometry(sc)
         assert mid[0, 15, 1] > np.cos(np.radians(3.0))
-        _, flat, _ = _pair_geometry([make_end_feed(4, 32, 16, False)])
+        _, flat, _ = pair_geometry(make_end_feed(4, 32, 16, False))
         assert flat[0, 15, 1] < np.cos(np.radians(30.0))
 
 
@@ -100,10 +115,10 @@ class TestBuildT:
                 pytest.approx(16.0, rel=1e-12)
 
     def test_magnitude_bound(self):
-        sc = make_end_feed(4, 32, 16, tilted=True)
-        T = build_T(sc)
-        r_min = min(np.linalg.norm(p - q)
-                    for p in sc.amaf.positions for q in sc.ris.positions)
+        T = build_T(make_end_feed(4, 32, 16, tilted=True))
+        surface, _, feeders, _ = _layout(4, 32, np.array([16.0]), "end",
+                                         True)
+        r_min = min(np.linalg.norm(p - q) for p in feeders[0] for q in surface)
         assert np.all(np.abs(T.entries) <= 4 / (2 * np.pi * r_min) + 1e-15)
 
     def test_center_feed_mirror_symmetry_exact(self):
@@ -111,24 +126,23 @@ class TestBuildT:
         assert np.array_equal(T, T[::-1, ::-1])
 
     def test_reciprocity_swapped_roles(self):
-        sc = make_center_feed(4, 8, 8)
-        T = build_T(sc)
-        swapped = Scenario(amaf=sc.ris, ris=sc.amaf, feed_style="center",
-                           f=sc.f)
-        T_swap = build_T(swapped)
-        assert np.allclose(T_swap.entries, T.entries.T, atol=1e-15)
+        T = build_T(make_center_feed(4, 8, 8))
+        # the feeder as the surface and the surface as the feeder
+        surface, up = line(8, 0, (0, 1))
+        feeder, down = line(4, 8, (0, -1))
+        T_swap = _T_stack(feeder, down, surface[None], up[None], [8.0])[0]
+        assert np.allclose(T_swap, T.entries.T, atol=1e-15)
         s1 = svd_modes(T).sigma
-        s2 = svd_modes(T_swap).sigma[:len(s1)]
+        s2 = svd_modes(PropagationMatrix(T_swap)).sigma[:len(s1)]
         assert np.allclose(s1, s2, rtol=1e-12)
 
     def test_back_to_back_entries_are_zero(self):
         # both arrays facing away from each other: every pair has both
         # angles past 90 degrees
-        amaf = ElementLayout(2, (0, 8), (1, 0), (0, 1))
-        ris = ElementLayout(4, (0, 0), (1, 0), (0, -1))
-        sc = Scenario(amaf=amaf, ris=ris, feed_style="center", f=8)
-        T = build_T(sc)
-        assert np.all(T.entries == 0)
+        feeder, up = line(2, 8, (0, 1))
+        surface, down = line(4, 0, (0, -1))
+        assert np.all(_T_stack(surface, down, feeder[None], up[None],
+                               [8.0]) == 0)
 
     def test_downstream_sigma_matches_table(self):
         T = build_T(make_center_feed(4, 8, 8))
@@ -136,10 +150,8 @@ class TestBuildT:
         assert s1_db == pytest.approx(-10.34, abs=0.05)
 
     def test_coincident_elements_rejected(self):
-        amaf = ElementLayout(1, (0, 0), (1, 0), (0, -1))
-        ris = ElementLayout(3, (0, 0), (1, 0), (0, 1))
-        sc = Scenario(amaf=amaf, ris=ris, feed_style="center", f=1)
+        feeder, down = line(1, 0, (0, -1))
+        surface, up = line(3, 0, (0, 1))
         with pytest.raises(ValueError,
                            match="coincident elements: surface 1, feeder 0"):
-            build_T(sc)
-
+            _T_stack(surface, up, feeder[None], down[None], [1.0])

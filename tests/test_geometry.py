@@ -1,74 +1,77 @@
 import numpy as np
 import pytest
 
-from risfeed.geometry import (ElementLayout, Scenario, make_center_feed,
-                              make_end_feed)
+from risfeed.geometry import (Scenario, _clears, _layout, _line,
+                              make_center_feed, make_end_feed)
+from risfeed.sweep import _stacks
+
+
+def layout(scenario):
+    """(surface, surface boresight, feeder, feeder boresight) of one
+    scenario, the feeder (N_a, 2) and its boresight (2,)."""
+    surface, up, feeders, bores = _layout(
+        scenario.n_a, scenario.n_p, np.array([float(scenario.f)]),
+        scenario.feed_style, scenario.tilted)
+    return surface, up, feeders[0], bores[0]
 
 
 class TestBuildLinearArray:
     def test_single_element_at_centroid(self):
-        arr = ElementLayout(1, (0, 0), (1, 0), (0, 1))
-        assert arr.n == 1
-        assert np.allclose(arr.positions, [[0, 0]])
+        pos = _line(1, np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+        assert pos.shape == (1, 2)
+        assert np.allclose(pos, [[0, 0]])
 
     def test_eight_elements_symmetric(self):
-        arr = ElementLayout(8, (0, 0), (1, 0), (0, 1))
-        assert np.allclose(arr.positions[:, 0],
+        surface, *_ = layout(make_center_feed(1, 8, 4))
+        assert np.allclose(surface[:, 0],
                            [-3.5, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 3.5])
-        assert np.allclose(arr.positions[:, 1], 0.0)
+        assert np.allclose(surface[:, 1], 0.0)
 
     def test_four_elements_offset_centroid(self):
-        arr = ElementLayout(4, (0, 8), (1, 0), (0, -1))
-        assert np.allclose(arr.positions[:, 0], [-1.5, -0.5, 0.5, 1.5])
-        assert np.allclose(arr.positions[:, 1], 8.0)
+        _, _, feeder, _ = layout(make_center_feed(4, 8, 8))
+        assert np.allclose(feeder[:, 0], [-1.5, -0.5, 0.5, 1.5])
+        assert np.allclose(feeder[:, 1], 8.0)
 
     def test_centroid_property(self):
-        arr = ElementLayout(5, (2, 3), (0, 1), (1, 0))
-        assert np.allclose(arr.centroid, [2, 3])
+        pos = _line(5, np.array([2.0, 3.0]), np.array([0.0, 1.0]))
+        assert np.allclose(pos.mean(axis=0), [2, 3])
+        # a stack of centroids and axes gives one line per row
+        stacked = _line(5, np.array([[2.0, 3.0], [0.0, 0.0]]),
+                        np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert stacked.shape == (2, 5, 2)
+        assert np.array_equal(stacked[0], pos)
 
     def test_rejects_zero_elements(self):
-        with pytest.raises(ValueError):
-            ElementLayout(0, (0, 0), (1, 0), (0, 1))
-
-    def test_rejects_non_orthogonal_axis(self):
-        with pytest.raises(ValueError):
-            ElementLayout(4, (0, 0), (1, 0), (1, 0))
-
-    def test_rejects_non_unit_axis(self):
-        with pytest.raises(ValueError):
-            ElementLayout(4, (0, 0), (2, 0), (0, 1))
-
-
-class TestElementLayout:
-    def test_rejects_non_unit_boresight(self):
-        with pytest.raises(ValueError):
-            ElementLayout(1, (0, 0), (1, 0), (0, 2))
+        for n_a, n_p in ((0, 8), (4, 0)):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                Scenario(n_a, n_p, 8.0, "center")
 
 
 class TestCenterFeed:
     def test_table_row_1_geometry(self):
         sc = make_center_feed(4, 8, 4)
-        assert sc.f_over_d == pytest.approx(0.5)
-        assert np.allclose(sc.amaf.centroid, [0, 4])
-        assert np.allclose(sc.ris.centroid, [0, 0])
+        assert (sc.n_a, sc.n_p, sc.f) == (4, 8, 4)
+        surface, _, feeder, _ = layout(sc)
+        assert np.allclose(feeder.mean(axis=0), [0, 4])
+        assert np.allclose(surface.mean(axis=0), [0, 0])
 
     def test_single_elements_facing(self):
-        sc = make_center_feed(1, 1, 8)
-        assert np.allclose(sc.amaf.positions, [[0, 8]])
-        assert np.allclose(sc.amaf.boresight, [0, -1])
-        assert np.allclose(sc.ris.boresight, [0, 1])
+        surface, up, feeder, down = layout(make_center_feed(1, 1, 8))
+        assert np.allclose(feeder, [[0, 8]])
+        assert np.allclose(down, [0, -1])
+        assert np.allclose(up, [0, 1])
 
     def test_half_f_over_d_large(self):
         sc = make_center_feed(4, 32, 16)
-        assert sc.f_over_d == pytest.approx(0.5)
-        assert np.allclose(sc.amaf.centroid, [0, 16])
+        assert sc.f / sc.n_p == pytest.approx(0.5)
+        assert np.allclose(layout(sc)[2].mean(axis=0), [0, 16])
 
     def test_mirror_symmetry(self):
-        sc = make_center_feed(4, 8, 4)
-        for layout in (sc.amaf, sc.ris):
-            mirrored = layout.positions * np.array([-1.0, 1.0])
+        surface, _, feeder, _ = layout(make_center_feed(4, 8, 4))
+        for positions in (feeder, surface):
+            mirrored = positions * np.array([-1.0, 1.0])
             assert np.allclose(np.sort(mirrored[:, 0]),
-                               np.sort(layout.positions[:, 0]))
+                               np.sort(positions[:, 0]))
 
     def test_rejects_nonpositive_f(self):
         for f in (0, -1, np.nan, np.inf):
@@ -78,22 +81,21 @@ class TestCenterFeed:
 
 class TestEndFeed:
     def test_untilted_anchor_and_boresight(self):
-        sc = make_end_feed(4, 128, 80, tilted=False)
-        assert np.allclose(sc.amaf.centroid, [-63.5, 80])
-        assert np.allclose(sc.amaf.boresight, [0, -1])
+        _, _, feeder, bore = layout(make_end_feed(4, 128, 80, tilted=False))
+        assert np.allclose(feeder.mean(axis=0), [-63.5, 80])
+        assert np.allclose(bore, [0, -1])
 
     def test_tilt_angle(self):
-        sc = make_end_feed(4, 128, 80, tilted=True)
-        alpha = np.arccos(float(sc.amaf.boresight @ np.array([0.0, -1.0])))
+        _, _, _, bore = layout(make_end_feed(4, 128, 80, tilted=True))
+        alpha = np.arccos(float(bore @ np.array([0.0, -1.0])))
         assert np.degrees(alpha) == pytest.approx(
             np.degrees(np.arctan2(63.5, 80)), abs=1e-9)
         assert np.degrees(alpha) == pytest.approx(38.44, abs=0.01)
 
     def test_tilted_boresight_hits_ris_centroid(self):
         for n_p, f in [(32, 16), (128, 80), (128, 110)]:
-            sc = make_end_feed(4, n_p, f, tilted=True)
-            c = sc.amaf.centroid
-            d = sc.amaf.boresight
+            _, _, feeder, d = layout(make_end_feed(4, n_p, f, tilted=True))
+            c = feeder.mean(axis=0)
             # distance from the RIS centroid (origin) to the boresight ray
             t = -(c @ d)
             assert t > 0
@@ -101,8 +103,8 @@ class TestEndFeed:
             assert miss < 1e-9
 
     def test_tilt_preserves_pairwise_distances(self):
-        flat = make_end_feed(4, 128, 80, tilted=False).amaf.positions
-        tilt = make_end_feed(4, 128, 80, tilted=True).amaf.positions
+        flat = layout(make_end_feed(4, 128, 80, tilted=False))[2]
+        tilt = layout(make_end_feed(4, 128, 80, tilted=True))[2]
         for pts in (flat, tilt):
             d = np.linalg.norm(np.diff(pts, axis=0), axis=1)
             assert np.allclose(d, 1.0, atol=1e-12)
@@ -111,7 +113,7 @@ class TestEndFeed:
         sc = make_end_feed(4, 32, 16, tilted=True)
         assert sc.feed_style == "end"
         assert sc.tilted
-        assert np.allclose(sc.amaf.centroid, [-15.5, 16])
+        assert np.allclose(layout(sc)[2].mean(axis=0), [-15.5, 16])
 
     def test_rejects_nonpositive_f(self):
         for f in (0, np.nan, np.inf):
@@ -124,19 +126,105 @@ class TestEndFeed:
         with pytest.raises(ValueError, match=r"7 of 16 elements at z <= 0"):
             make_end_feed(16, 8, 1, tilted=True)
         # the same feeder flat, or tilted at a larger f, stays above it
-        assert make_end_feed(16, 8, 1, tilted=False).amaf.n == 16
-        sc = make_end_feed(16, 32, 8, tilted=True)
-        assert 0 < sc.amaf.positions[:, 1].min() < 2
+        assert make_end_feed(16, 8, 1, tilted=False).n_a == 16
+        feeder = layout(make_end_feed(16, 32, 8, tilted=True))[2]
+        assert 0 < feeder[:, 1].min() < 2
+
+
+class TestLayout:
+    @pytest.mark.parametrize("feed, tilted", [("center", False),
+                                              ("end", False),
+                                              ("end", True)])
+    def test_feeders_are_rigid_unit_lines(self, feed, tilted):
+        # every feeder's axis and boresight are orthogonal unit vectors,
+        # the axis turning +x into the boresight's -z by the same angle
+        for n_a, n_p in ((1, 1), (3, 8), (4, 128), (16, 5)):
+            f = np.geomspace(0.5, 4000.0, 97) + n_a
+            _, up, feeders, bores = _layout(n_a, n_p, f, feed, tilted)
+            assert np.array_equal(up, [0.0, 1.0])
+            assert feeders.shape == (f.size, n_a, 2)
+            axis = (np.diff(feeders, axis=1).mean(axis=1) if n_a > 1
+                    else bores @ np.array([[0.0, 1.0], [-1.0, 0.0]]))
+            assert np.allclose(np.linalg.norm(axis, axis=1), 1.0, atol=1e-12)
+            assert np.allclose(np.linalg.norm(bores, axis=1), 1.0,
+                               atol=1e-15)
+            assert np.allclose(np.sum(axis * bores, axis=1), 0.0, atol=1e-12)
+            assert np.allclose(feeders.mean(axis=1)[:, 1], f, rtol=1e-12)
+
+
+def per_element_clear(n_a, n_p, f):
+    """Whether every element of the tilted end feed at each f lies above
+    z = 0: z_k = f + (k - (n_a-1)/2) sin(alpha), alpha = arctan2(-x0, f),
+    x0 = -(n_p-1)/2, one element at a time in Python floats."""
+    x0 = -(n_p - 1) / 2.0
+    return [all(float(fi) + (k - (n_a - 1) / 2.0)
+                * float(np.sin(np.arctan2(-x0, fi))) > 0 for k in range(n_a))
+            for fi in f]
+
+
+def straddling_f(n_a, n_p):
+    """Distances around the one where the tilted end feed's lowest element
+    reaches z = 0: a coarse grid and the 40 floats on each side of the
+    boundary found by bisection."""
+    x0 = -(n_p - 1) / 2.0
+
+    def lowest(f):
+        return f - (n_a - 1) / 2.0 * abs(np.sin(np.arctan2(-x0, f)))
+    lo, hi = 1e-9, float(n_a)
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if lowest(mid) <= 0 else (lo, mid)
+    near = [hi]
+    for _ in range(40):
+        near = [np.nextafter(near[0], 0.0)] + near + [
+            np.nextafter(near[-1], np.inf)]
+    return np.array(sorted(set(near) | set(np.linspace(0.05, 2.0 * n_a,
+                                                       61))))
+
+
+class TestClearance:
+    @pytest.mark.parametrize("n_a", [2, 3, 4, 7, 16, 33])
+    @pytest.mark.parametrize("n_p", [1, 2, 8, 31, 128])
+    def test_rule_scan_and_end_feed_agree_per_element(self, n_a, n_p):
+        f = straddling_f(n_a, n_p)
+        want = per_element_clear(n_a, n_p, f)
+        assert _clears(n_a, n_p, f, "end", True).tolist() == want
+        z = _layout(n_a, n_p, f, "end", True)[2][..., 1]
+        assert (z > 0).all(axis=1).tolist() == want
+        scanned = {i for index, *_ in _stacks(n_a, n_p, "end", True,
+                                              f.tolist())
+                   for i in index}
+        assert [i in scanned for i in range(f.size)] == want
+        for fi, ok in zip(f.tolist(), want):
+            if ok:
+                assert make_end_feed(n_a, n_p, fi, True).f == fi
+            else:
+                with pytest.raises(ValueError,
+                                   match="tilted feeder reaches the surface"):
+                    make_end_feed(n_a, n_p, fi, True)
+        if n_p > 1:
+            # the boundary lies inside the grid: both sides are present
+            assert any(want) and not all(want)
+
+    def test_untilted_feeders_always_clear(self):
+        f = np.array([1e-300, 1e-9, 0.5, 8.0, 1e300])
+        for feed in ("center", "end"):
+            assert _clears(1024, 1024, f, feed, False).all()
 
 
 class TestScenario:
     def test_rejects_unknown_feed_style(self):
-        sc = make_center_feed(2, 2, 4)
-        with pytest.raises(ValueError):
-            Scenario(amaf=sc.amaf, ris=sc.ris, feed_style="corner", f=4)
+        with pytest.raises(ValueError, match="feed 'corner'"):
+            Scenario(2, 2, 4, "corner")
 
     def test_rejects_tilted_center(self):
-        sc = make_center_feed(2, 2, 4)
-        with pytest.raises(ValueError):
-            Scenario(amaf=sc.amaf, ris=sc.ris, feed_style="center", f=4,
-                     tilted=True)
+        with pytest.raises(ValueError, match="feed 'center'"):
+            Scenario(2, 2, 4, "center", tilted=True)
+
+    def test_is_its_parameters(self):
+        sc = Scenario(4, 8, 2.5, "end", True)
+        assert vars(sc) == {"n_a": 4, "n_p": 8, "f": 2.5,
+                            "feed_style": "end", "tilted": True}
+        assert sc == make_end_feed(4, 8, 2.5, True)
+        with pytest.raises(AttributeError):
+            sc.f = 3.0
