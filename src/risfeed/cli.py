@@ -178,16 +178,20 @@ def _validate(args):
     if sweep and _f_grid(args)[0] > MAX_GRID_POINTS - 1:
         raise UsageError(f"--f-step gives more than {MAX_GRID_POINTS} "
                          f"distances")
+    if sweep and not np.diff(list(_f_grid(args)[1])).all():
+        raise UsageError(f"--f-step {args.f_step!r} rounds two f to one float")
     if args.tilted and args.feed != "end":
         raise UsageError("--tilted requires --feed end")
 
 
 def _f_grid(args):
     """Step count n = floor((f_max - f_min) / f_step) and sweep-f's n + 1
-    distances, each the float nearest its exact decimal f_min + i * f_step."""
+    distances, each the float nearest f_min + i * f_step = (a + i*b) / d."""
     lo, step = Fraction(repr(args.f_min)), Fraction(repr(args.f_step))
     n = math.floor((Fraction(repr(args.f_max)) - lo) / step)
-    return n, (float(lo + i * step) for i in range(n + 1))
+    d = math.lcm(lo.denominator, step.denominator)
+    a, b = int(lo * d), int(step * d)
+    return n, ((a + i * b) / d for i in range(n + 1))
 
 
 def _write_csv(path, header, row_format, columns):

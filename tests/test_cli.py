@@ -1,11 +1,14 @@
+import argparse
 import filecmp
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from risfeed import sweep
-from risfeed.cli import main
+from risfeed.cli import _f_grid, main
 from risfeed.sweep import optimize_f
 
 
@@ -354,6 +357,53 @@ class TestSweepF:
         f = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
         assert len(f) == 129 and f[7] == "9.9"
         assert f == [repr(round(5 + i * 0.7, 1)) for i in range(129)]
+
+    def test_step_that_repeats_a_distance_is_a_usage_error(self, capsys,
+                                                           tmp_path):
+        # below the float spacing near 1, the 41 decimal distances round
+        # to three floats: a row for each, and each copy of the best f
+        # marked best
+        out = tmp_path / "trace.csv"
+        sweep_f = ("sweep-f", "--np", "8", "--f-min", "1", "--f-max",
+                   "1.0000000000000004", "--objective", "max_power",
+                   "--out", str(out))
+        assert run_cli(*sweep_f, "--f-step", "1e-17") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --f-step 1e-17 ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+        # a step just under the spacing of floats above 1 keeps two
+        assert run_cli(*sweep_f, "--f-step", "2.220446049250313e-16") == 0
+        f = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert f == ["1.0", "1.0000000000000002"]
+
+
+def fraction_grid(f_min, f_max, f_step):
+    """sweep-f's distances as Fraction sums, each rounded once."""
+    lo, step = Fraction(repr(f_min)), Fraction(repr(f_step))
+    n = math.floor((Fraction(repr(f_max)) - lo) / step)
+    return [float(lo + i * step) for i in range(n + 1)]
+
+
+def test_f_grid_matches_fraction_sums():
+    rng = np.random.default_rng(23)
+    grids = [(5.0, 95.0, 0.7), (60.0, 140.0, 1.0), (100.1234, 100.1236, 1e-4),
+             (1.0, 1.0000000000000004, 1e-17), (1e-300, 2e-300, 1e-302),
+             (0.1, 1e6, 333.3), (1e300, 1.5e300, 1e298), (3.0, 3.0, 0.25),
+             (7.0, 1e308, 1e306)]
+    for _ in range(400):
+        f_min = float(f"{rng.integers(1, 10**6)}e{rng.integers(-9, 5)}")
+        f_step = float(f"{rng.integers(1, 10**5)}e{rng.integers(-12, 3)}")
+        f_max = float(repr(f_min + f_step * rng.uniform(0, 300)))
+        grids.append((f_min, f_max, f_step))
+    for f_min, f_max, f_step in grids:
+        n, grid = _f_grid(argparse.Namespace(f_min=f_min, f_max=f_max,
+                                             f_step=f_step))
+        if n > 36000:
+            continue
+        want = fraction_grid(f_min, f_max, f_step)
+        assert n + 1 == len(want)
+        assert list(grid) == want, (f_min, f_max, f_step)
 
 
 @pytest.mark.parametrize("argv, column", [
