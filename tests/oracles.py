@@ -68,15 +68,23 @@ def one_sided_jacobi_svd(A, tol=1e-15, max_sweeps=60):
     return U, sv, V
 
 
+def scenario_arrays(scenario):
+    """The arrays of one scenario from the package's layout: surface
+    positions and boresight, then its feeder's (N_a, 2) positions and
+    (2,) boresight."""
+    surface, up, feeders, boresights = _layout(
+        scenario.n_a, scenario.n_p, np.array([float(scenario.f)]),
+        scenario.feed_style, scenario.tilted)
+    return surface, up, feeders[0], boresights[0]
+
+
 def single_feeder_power(scenario):
     """sigma_1^2 of a one-element feeder, where T is one column: the
     math.fsum over the surface of 16 cos+^2(theta) cos+^2(phi) / (2 pi r)^2,
     with r from math.hypot and cos+ = max(cos, 0) from scalar products."""
-    surface, up, feeders, boresights = _layout(
-        scenario.n_a, scenario.n_p, np.array([float(scenario.f)]),
-        scenario.feed_style, scenario.tilted)
-    (ax, az), = feeders[0].tolist()
-    abx, abz = boresights[0].tolist()
+    surface, up, feeder, boresight = scenario_arrays(scenario)
+    (ax, az), = feeder.tolist()
+    abx, abz = boresight.tolist()
     sbx, sbz = up.tolist()
     terms = []
     for px, pz in surface.tolist():

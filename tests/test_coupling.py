@@ -3,20 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from risfeed.geometry import _layout, make_center_feed, make_end_feed
+from risfeed.geometry import make_center_feed, make_end_feed
 from risfeed.coupling import (PropagationMatrix, element_gain,
                               _pair_geometry, _T_stack, build_T)
 from risfeed.modes import svd_modes
 from risfeed.sweep import _stacks
 
-from oracles import single_feeder_power
+from oracles import scenario_arrays, single_feeder_power
 
 
 def pair_geometry(scenario):
     """_pair_geometry of one scenario's arrays."""
-    return _pair_geometry(*_layout(scenario.n_a, scenario.n_p,
-                                   np.array([float(scenario.f)]),
-                                   scenario.feed_style, scenario.tilted))
+    surface, up, feeder, boresight = scenario_arrays(scenario)
+    return _pair_geometry(surface, up, feeder[None], boresight[None])
 
 
 def line(n, z, boresight):
@@ -115,10 +114,10 @@ class TestBuildT:
                 pytest.approx(16.0, rel=1e-12)
 
     def test_magnitude_bound(self):
-        T = build_T(make_end_feed(4, 32, 16, tilted=True))
-        surface, _, feeders, _ = _layout(4, 32, np.array([16.0]), "end",
-                                         True)
-        r_min = min(np.linalg.norm(p - q) for p in feeders[0] for q in surface)
+        sc = make_end_feed(4, 32, 16, tilted=True)
+        T = build_T(sc)
+        surface, _, feeder, _ = scenario_arrays(sc)
+        r_min = min(np.linalg.norm(p - q) for p in feeder for q in surface)
         assert np.all(np.abs(T.entries) <= 4 / (2 * np.pi * r_min) + 1e-15)
 
     def test_center_feed_mirror_symmetry_exact(self):

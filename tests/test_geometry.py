@@ -5,14 +5,7 @@ from risfeed.geometry import (Scenario, _clears, _layout, _line,
                               make_center_feed, make_end_feed)
 from risfeed.sweep import _stacks
 
-
-def layout(scenario):
-    """(surface, surface boresight, feeder, feeder boresight) of one
-    scenario, the feeder (N_a, 2) and its boresight (2,)."""
-    surface, up, feeders, bores = _layout(
-        scenario.n_a, scenario.n_p, np.array([float(scenario.f)]),
-        scenario.feed_style, scenario.tilted)
-    return surface, up, feeders[0], bores[0]
+from oracles import scenario_arrays
 
 
 class TestBuildLinearArray:
@@ -22,13 +15,13 @@ class TestBuildLinearArray:
         assert np.allclose(pos, [[0, 0]])
 
     def test_eight_elements_symmetric(self):
-        surface, *_ = layout(make_center_feed(1, 8, 4))
+        surface, *_ = scenario_arrays(make_center_feed(1, 8, 4))
         assert np.allclose(surface[:, 0],
                            [-3.5, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 3.5])
         assert np.allclose(surface[:, 1], 0.0)
 
     def test_four_elements_offset_centroid(self):
-        _, _, feeder, _ = layout(make_center_feed(4, 8, 8))
+        _, _, feeder, _ = scenario_arrays(make_center_feed(4, 8, 8))
         assert np.allclose(feeder[:, 0], [-1.5, -0.5, 0.5, 1.5])
         assert np.allclose(feeder[:, 1], 8.0)
 
@@ -51,12 +44,12 @@ class TestCenterFeed:
     def test_table_row_1_geometry(self):
         sc = make_center_feed(4, 8, 4)
         assert (sc.n_a, sc.n_p, sc.f) == (4, 8, 4)
-        surface, _, feeder, _ = layout(sc)
+        surface, _, feeder, _ = scenario_arrays(sc)
         assert np.allclose(feeder.mean(axis=0), [0, 4])
         assert np.allclose(surface.mean(axis=0), [0, 0])
 
     def test_single_elements_facing(self):
-        surface, up, feeder, down = layout(make_center_feed(1, 1, 8))
+        surface, up, feeder, down = scenario_arrays(make_center_feed(1, 1, 8))
         assert np.allclose(feeder, [[0, 8]])
         assert np.allclose(down, [0, -1])
         assert np.allclose(up, [0, 1])
@@ -64,10 +57,10 @@ class TestCenterFeed:
     def test_half_f_over_d_large(self):
         sc = make_center_feed(4, 32, 16)
         assert sc.f / sc.n_p == pytest.approx(0.5)
-        assert np.allclose(layout(sc)[2].mean(axis=0), [0, 16])
+        assert np.allclose(scenario_arrays(sc)[2].mean(axis=0), [0, 16])
 
     def test_mirror_symmetry(self):
-        surface, _, feeder, _ = layout(make_center_feed(4, 8, 4))
+        surface, _, feeder, _ = scenario_arrays(make_center_feed(4, 8, 4))
         for positions in (feeder, surface):
             mirrored = positions * np.array([-1.0, 1.0])
             assert np.allclose(np.sort(mirrored[:, 0]),
@@ -81,12 +74,13 @@ class TestCenterFeed:
 
 class TestEndFeed:
     def test_untilted_anchor_and_boresight(self):
-        _, _, feeder, bore = layout(make_end_feed(4, 128, 80, tilted=False))
+        sc = make_end_feed(4, 128, 80, tilted=False)
+        _, _, feeder, bore = scenario_arrays(sc)
         assert np.allclose(feeder.mean(axis=0), [-63.5, 80])
         assert np.allclose(bore, [0, -1])
 
     def test_tilt_angle(self):
-        _, _, _, bore = layout(make_end_feed(4, 128, 80, tilted=True))
+        _, _, _, bore = scenario_arrays(make_end_feed(4, 128, 80, tilted=True))
         alpha = np.arccos(float(bore @ np.array([0.0, -1.0])))
         assert np.degrees(alpha) == pytest.approx(
             np.degrees(np.arctan2(63.5, 80)), abs=1e-9)
@@ -94,7 +88,8 @@ class TestEndFeed:
 
     def test_tilted_boresight_hits_ris_centroid(self):
         for n_p, f in [(32, 16), (128, 80), (128, 110)]:
-            _, _, feeder, d = layout(make_end_feed(4, n_p, f, tilted=True))
+            sc = make_end_feed(4, n_p, f, tilted=True)
+            _, _, feeder, d = scenario_arrays(sc)
             c = feeder.mean(axis=0)
             # distance from the RIS centroid (origin) to the boresight ray
             t = -(c @ d)
@@ -103,8 +98,8 @@ class TestEndFeed:
             assert miss < 1e-9
 
     def test_tilt_preserves_pairwise_distances(self):
-        flat = layout(make_end_feed(4, 128, 80, tilted=False))[2]
-        tilt = layout(make_end_feed(4, 128, 80, tilted=True))[2]
+        flat = scenario_arrays(make_end_feed(4, 128, 80, tilted=False))[2]
+        tilt = scenario_arrays(make_end_feed(4, 128, 80, tilted=True))[2]
         for pts in (flat, tilt):
             d = np.linalg.norm(np.diff(pts, axis=0), axis=1)
             assert np.allclose(d, 1.0, atol=1e-12)
@@ -113,7 +108,7 @@ class TestEndFeed:
         sc = make_end_feed(4, 32, 16, tilted=True)
         assert sc.feed_style == "end"
         assert sc.tilted
-        assert np.allclose(layout(sc)[2].mean(axis=0), [-15.5, 16])
+        assert np.allclose(scenario_arrays(sc)[2].mean(axis=0), [-15.5, 16])
 
     def test_rejects_nonpositive_f(self):
         for f in (0, np.nan, np.inf):
@@ -127,7 +122,7 @@ class TestEndFeed:
             make_end_feed(16, 8, 1, tilted=True)
         # the same feeder flat, or tilted at a larger f, stays above it
         assert make_end_feed(16, 8, 1, tilted=False).n_a == 16
-        feeder = layout(make_end_feed(16, 32, 8, tilted=True))[2]
+        feeder = scenario_arrays(make_end_feed(16, 32, 8, tilted=True))[2]
         assert 0 < feeder[:, 1].min() < 2
 
 
@@ -136,15 +131,14 @@ class TestLayout:
                                               ("end", False),
                                               ("end", True)])
     def test_feeders_are_rigid_unit_lines(self, feed, tilted):
-        # every feeder's axis and boresight are orthogonal unit vectors,
-        # the axis turning +x into the boresight's -z by the same angle
-        for n_a, n_p in ((1, 1), (3, 8), (4, 128), (16, 5)):
+        # every feeder is a line of unit spacing centered at height f,
+        # facing a unit boresight orthogonal to the line
+        for n_a, n_p in ((2, 1), (3, 8), (4, 128), (16, 5)):
             f = np.geomspace(0.5, 4000.0, 97) + n_a
             _, up, feeders, bores = _layout(n_a, n_p, f, feed, tilted)
             assert np.array_equal(up, [0.0, 1.0])
             assert feeders.shape == (f.size, n_a, 2)
-            axis = (np.diff(feeders, axis=1).mean(axis=1) if n_a > 1
-                    else bores @ np.array([[0.0, 1.0], [-1.0, 0.0]]))
+            axis = np.diff(feeders, axis=1).mean(axis=1)
             assert np.allclose(np.linalg.norm(axis, axis=1), 1.0, atol=1e-12)
             assert np.allclose(np.linalg.norm(bores, axis=1), 1.0,
                                atol=1e-15)
