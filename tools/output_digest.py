@@ -21,8 +21,9 @@ to +/-90 degrees, a tilted table at 16 x 1024, tables padded with
 ``nan`` sigma cells for N_a < 4, and a feeder wider than its surface,
 whose zero sigma gives ``-inf``/``inf`` table cells and ``null`` report
 values, tilted end feeds over a one-element surface, with a one-element
-and an odd-sized feeder, and one whose feeder reaches the surface) and
-the benchmark ops at seeds 701 and 702, which come from
+and an odd-sized feeder, and one whose feeder reaches the surface,
+scans with a one-element feeder, and a scan in stacks at the 2^20-entry
+cap) and the benchmark ops at seeds 701 and 702, which come from
 ``bench/workloads.py`` (imported, never changed).
 """
 
@@ -111,7 +112,14 @@ EDGE = [
     "sweep-f --na 3 --np 8 --feed end --tilted --f-min 0.25 --f-max 4 "
     "--f-step 0.25 --objective max_power",
     # a tilted feeder that reaches the surface: no file, exit 2
-    "analyze --na 16 --np 8 --f 1 --feed end --tilted"]
+    "analyze --na 16 --np 8 --f 1 --feed end --tilted"] + [
+    # one-element feeders: each stack's principal vectors are (F, 1)
+    f"sweep-f --na 1 --np 32 --feed end --tilted --f-min 2 --f-max 40 "
+    f"--f-step 2 --beam {beam} --objective min_sll"
+    for beam in ("pem", "nonpem")] + [
+    # stacks of 64 f at 16 x 1024, each at the 2^20-entry cap
+    "sweep-f --na 16 --np 1024 --feed center --f-min 100 --f-max 180 "
+    "--f-step 1 --beam nonpem --objective max_power"]
 
 BENCH_SEEDS = (701, 702)
 BENCH_OPS = {"sweep_f": 4, "mode_table": 8, "report_files": 8}
