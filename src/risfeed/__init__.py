@@ -6,7 +6,7 @@ sweeps. All distances are in half-wavelength units."""
 from .geometry import Scenario, make_center_feed, make_end_feed
 from .coupling import PropagationMatrix, element_gain, build_T
 from .modes import (BeamVector, ModeAnalysis, ModeMetrics, svd_modes,
-                    mode_metrics, nonpem_vector, isotropic_loss_db)
+                    mode_metrics, isotropic_loss_db)
 from .patterns import (PatternCurve, steering_vector, amaf_pattern,
                        ris_excitation, ris_pattern, sidelobe_level,
                        default_grid)

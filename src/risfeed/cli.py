@@ -22,6 +22,7 @@ from itertools import chain
 import numpy as np
 
 from . import sweep as sweep_mod
+from .modes import BeamVector
 from .patterns import (amaf_pattern, ris_pattern, ris_excitation,
                        default_grid, DEFAULT_GRID_STEP_DEG)
 
@@ -175,23 +176,25 @@ def _validate(args):
                              + name.replace("_", "-"))
     if sweep and args.f_min > args.f_max:
         raise UsageError("--f-min must not exceed --f-max")
-    if sweep and _f_grid(args)[0] > MAX_GRID_POINTS - 1:
-        raise UsageError(f"--f-step gives more than {MAX_GRID_POINTS} "
-                         f"distances")
-    if sweep and not np.diff(list(_f_grid(args)[1])).all():
+    if sweep:
+        args.f = _f_grid(args)      # sweep-f's distances, as table's --f
+    if sweep and not np.diff(args.f).all():
         raise UsageError(f"--f-step {args.f_step!r} rounds two f to one float")
     if args.tilted and args.feed != "end":
         raise UsageError("--tilted requires --feed end")
 
 
 def _f_grid(args):
-    """Step count n = floor((f_max - f_min) / f_step) and sweep-f's n + 1
-    distances, each the float nearest f_min + i * f_step = (a + i*b) / d."""
+    """sweep-f's n + 1 distances, each the float nearest f_min + i * f_step
+    = (a + i*b) / d; an n over the cap is refused before the list is made."""
     lo, step = Fraction(repr(args.f_min)), Fraction(repr(args.f_step))
     n = math.floor((Fraction(repr(args.f_max)) - lo) / step)
+    if n > MAX_GRID_POINTS - 1:
+        raise UsageError(f"--f-step gives more than {MAX_GRID_POINTS} "
+                         f"distances")
     d = math.lcm(lo.denominator, step.denominator)
     a, b = int(lo * d), int(step * d)
-    return n, ((a + i * b) / d for i in range(n + 1))
+    return [(a + i * b) / d for i in range(n + 1)]
 
 
 def _write_csv(path, header, row_format, columns):
@@ -294,7 +297,8 @@ def _analysis(args):
 def _beam(args):
     """Propagation matrix and the selected feeder excitation."""
     _, T, modes, _ = _analysis(args)
-    return T, sweep_mod._beam_for(modes, args.beam)
+    return T, BeamVector(sweep_mod._beam_for(modes.right_vectors[:, 0],
+                                             args.beam))
 
 
 def run(args):
@@ -316,8 +320,8 @@ def run(args):
         write_profile_csv(ris_excitation(T, beam), args.out)
     elif cmd == "sweep-f":
         best_f, trace = sweep_mod.optimize_f(
-            args.na, args.np, args.feed, args.tilted, args.beam,
-            _f_grid(args)[1], args.objective)
+            args.na, args.np, args.feed, args.tilted, args.beam, args.f,
+            args.objective)
         write_trace_csv(trace, best_f, args.objective, args.out)
     return 0
 

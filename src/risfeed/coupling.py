@@ -25,8 +25,7 @@ def element_gain(theta):
     rear hemisphere. Accepts scalars or arrays of angles in radians.
     """
     cos_t = np.maximum(np.cos(theta), 0.0)
-    gain = 4.0 * cos_t * cos_t
-    return gain if gain.ndim else float(gain)
+    return 4.0 * cos_t * cos_t
 
 
 @dataclass(frozen=True)

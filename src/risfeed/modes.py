@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Scenario
 from .coupling import PropagationMatrix
 
 
@@ -112,11 +111,6 @@ def svd_modes(T: PropagationMatrix) -> ModeAnalysis:
                         left_vectors=left[0])
 
 
-def nonpem_vector(v1: BeamVector) -> BeamVector:
-    """Element-wise magnitudes of a beam: phases removed, norm preserved."""
-    return BeamVector(np.abs(v1.weights).astype(complex))
-
-
 def isotropic_loss_db(f) -> float:
     """Free-space spreading loss between isotropic points at distance f."""
     if f <= 0:
@@ -129,16 +123,17 @@ def isotropic_loss_db(f) -> float:
         raise ValueError(f"isotropic loss overflows at f={f!r}") from None
 
 
-def mode_metrics(modes: ModeAnalysis, scenario: Scenario) -> ModeMetrics:
-    """dB powers, their sum, condition number, and geometry ratios."""
-    sig_sq = modes.sigma ** 2
+def mode_metrics(sigma, f, n_p) -> ModeMetrics:
+    """dB powers of the descending singular values sigma, their sum and
+    condition number, and the geometry ratios at f over n_p elements."""
+    sig_sq = sigma ** 2
     with np.errstate(divide="ignore"):
         sig_db = tuple(10.0 * np.log10(sig_sq))
     sum_db = 10.0 * np.log10(sig_sq.sum())
-    smallest = modes.sigma[-1]
-    cond = float(modes.sigma[0] / smallest) if smallest > 0 else float("inf")
+    smallest = sigma[-1]
+    cond = float(sigma[0] / smallest) if smallest > 0 else float("inf")
     return ModeMetrics(sigma_sq_db=sig_db,
                        sum_db=float(sum_db),
                        cond=cond,
-                       l_iso_db=isotropic_loss_db(scenario.f),
-                       f_over_d=scenario.f / scenario.n_p)
+                       l_iso_db=isotropic_loss_db(f),
+                       f_over_d=f / n_p)

@@ -8,8 +8,7 @@ import numpy as np
 from .geometry import (Scenario, _clears, _layout, make_center_feed,
                        make_end_feed)
 from .coupling import _T_stack, build_T
-from .modes import (ModeAnalysis, ModeMetrics, _svd_stack, mode_metrics,
-                    nonpem_vector, svd_modes)
+from .modes import ModeMetrics, _svd_stack, mode_metrics, svd_modes
 # ris_pattern is not called here, but bench/selftest.py wraps this binding
 from .patterns import _patterns, ris_pattern, sidelobe_level  # noqa: F401
 
@@ -46,8 +45,7 @@ def analyze_point(n_a, n_p, f, feed_style, tilted=False):
                 else make_center_feed(n_a, n_p, f))
     T = build_T(scenario)
     modes = svd_modes(T)
-    metrics = mode_metrics(modes, scenario)
-    return scenario, T, modes, metrics
+    return scenario, T, modes, mode_metrics(modes.sigma, f, n_p)
 
 
 def run_grid(n_a, n_p_list, f_list, feed_style, tilted=False):
@@ -59,38 +57,41 @@ def run_grid(n_a, n_p_list, f_list, feed_style, tilted=False):
     records = []
     for n_p in n_p_list:
         metrics = [None] * len(f_list)
-        for index, stack, _, svd in _stacks(n_a, n_p, feed_style, tilted,
-                                            f_list):
-            for i, scenario, mode in zip(index, stack, zip(*svd)):
-                metrics[i] = mode_metrics(ModeAnalysis(*mode), scenario)
+        for index, _, sigma, _ in _stacks(n_a, n_p, feed_style, tilted,
+                                          f_list):
+            for i, s in zip(index, sigma):
+                metrics[i] = mode_metrics(s, f_list[i], n_p)
         records += [SweepRecord(n_a=n_a, n_p=n_p, f=f, feed=feed_style,
                                 metrics=m) for f, m in zip(f_list, metrics)]
     records.sort(key=lambda rec: (rec.n_p, rec.f))
     return records
 
 
-def _beam_for(modes, beam):
+def _beam_for(v1, beam):
+    """Feeder weights of the principal right vectors, the rows of v1: v1
+    for "pem", its magnitudes for "nonpem" (phases removed, norm kept)."""
     if beam == "pem":
-        return modes.beam(0)
+        return v1
     if beam == "nonpem":
-        return nonpem_vector(modes.beam(0))
+        return np.abs(v1)
     raise ValueError(f"unknown beam {beam!r}")
 
 
 def _stacks(n_a, n_p, feed_style, tilted, f_values):
-    """(indices, scenarios, M, svd) for each stack of up to _CHUNK f whose
+    """(indices, M, sigma, right) for each stack of up to _CHUNK f whose
     feeder clears the surface, each no larger than one T at the caps: M is
-    the _T_stack of the scenarios at f_values[indices] and svd its
-    _svd_stack, each matrix with the bits of analyze_point at its f."""
-    scenarios = [Scenario(n_a, n_p, f, feed_style, tilted) for f in f_values]
-    f = np.array(f_values, dtype=float)
+    the _T_stack at f_values[indices], sigma and right its _svd_stack's,
+    each matrix with the bits of analyze_point at its f."""
+    f = np.array([Scenario(n_a, n_p, x, feed_style, tilted).f  # names a bad f
+                  for x in f_values], dtype=float)
     clear = np.flatnonzero(_clears(n_a, n_p, f, feed_style, tilted))
     width = max(1, min(_CHUNK, 2 ** 20 // (n_p * n_a)))
     for start in range(0, clear.size, width):
         index = clear[start:start + width].tolist()
         M = _T_stack(*_layout(n_a, n_p, f[index], feed_style, tilted),
                      f[index])
-        yield index, [scenarios[i] for i in index], M, _svd_stack(M)
+        sigma, right, _ = _svd_stack(M)
+        yield index, M, sigma, right
 
 
 def _score(objective, X):
@@ -120,9 +121,9 @@ def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     values = [None] * len(f_values)
-    for index, _, M, svd in _stacks(n_a, n_p, feed_style, tilted, f_values):
-        W = np.stack([_beam_for(ModeAnalysis(*mode), beam).weights
-                      for mode in zip(*svd)])
+    for index, M, _, right in _stacks(n_a, n_p, feed_style, tilted,
+                                      f_values):
+        W = _beam_for(right[:, :, 0], beam)
         X = np.matmul(M, W[..., None])[..., 0]
         for i, val in zip(index, _score(objective, X)):
             values[i] = val

@@ -7,7 +7,9 @@ needs neither T nor an SVD, and the sidelobe oracle walks the sampled
 curve one sample at a time, the loop that the package's array
 comparisons replaced. The CSV writers below are the package's former
 per-row csv.writer bodies, the byte-for-byte reference for its
-block-formatted writers.
+block-formatted writers. Two helpers call the package instead:
+scenario_arrays lays out one scenario, and feeder_beam forms the feeder
+excitation the CLI draws from one mode analysis.
 """
 
 import csv
@@ -16,6 +18,8 @@ import math
 import numpy as np
 
 from risfeed.geometry import _layout
+from risfeed.modes import BeamVector
+from risfeed.sweep import _beam_for
 
 
 def one_sided_jacobi_svd(A, tol=1e-15, max_sweeps=60):
@@ -76,6 +80,12 @@ def scenario_arrays(scenario):
         scenario.n_a, scenario.n_p, np.array([float(scenario.f)]),
         scenario.feed_style, scenario.tilted)
     return surface, up, feeders[0], boresights[0]
+
+
+def feeder_beam(modes, beam):
+    """The feeder excitation the CLI draws for one mode analysis: the
+    _beam_for rule on its principal right vector, as a BeamVector."""
+    return BeamVector(_beam_for(modes.right_vectors[:, 0], beam))
 
 
 def single_feeder_power(scenario):

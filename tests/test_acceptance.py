@@ -7,13 +7,12 @@ import pytest
 
 from risfeed.geometry import _layout, make_center_feed, make_end_feed
 from risfeed.coupling import PropagationMatrix, _T_stack, build_T
-from risfeed.modes import (BeamVector, svd_modes, mode_metrics,
-                           nonpem_vector, isotropic_loss_db)
+from risfeed.modes import BeamVector, svd_modes, isotropic_loss_db
 from risfeed.patterns import (amaf_pattern, ris_pattern, sidelobe_level,
                               default_grid)
 from risfeed.sweep import analyze_point, run_grid
 
-from oracles import one_sided_jacobi_svd, brute_force_sidelobe
+from oracles import brute_force_sidelobe, feeder_beam, one_sided_jacobi_svd
 
 REFERENCE_TABLE = [
     # sl, n_p, f, sigma1..4 (dB), sum (dB), cond
@@ -215,7 +214,7 @@ def test_criterion_6_pattern_anchors():
     failures = []
     sc = make_end_feed(4, 128, 110, tilted=False)
     modes = svd_modes(build_T(sc))
-    b = nonpem_vector(modes.beam(0))
+    b = feeder_beam(modes, "nonpem")
     curve = amaf_pattern(b)
     af_db = 10 * np.log10(abs(np.sum(b.weights.real)) ** 2)
     check(failures, abs(curve.peak_dbi - 11.95) <= 0.05,
@@ -313,7 +312,7 @@ def test_criterion_8_sidelobe_behavior():
         T_e = build_T(sc_e)
         m_e = svd_modes(T_e)
         for label, beam in (("pem", m_e.beam(0)),
-                            ("nonpem", nonpem_vector(m_e.beam(0)))):
+                            ("nonpem", feeder_beam(m_e, "nonpem"))):
             end_sll = sidelobe_level(ris_pattern(T_e, beam, grid))
             check(failures, center_sll < end_sll,
                   f"end f={f} {label} sidelobe {end_sll:.2f} not above "

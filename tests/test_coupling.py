@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from risfeed.geometry import make_center_feed, make_end_feed
+from risfeed.geometry import Scenario, make_center_feed, make_end_feed
 from risfeed.coupling import (PropagationMatrix, element_gain,
                               _pair_geometry, _T_stack, build_T)
 from risfeed.modes import svd_modes
@@ -86,10 +86,12 @@ class TestSingleFeederOracle:
         worst = 0.0
         for n_p in (8, 32, 128, 512, 1024):
             f_values = [q * n_p for q in (0.05, 0.1, 0.2, 0.5, 1, 2, 5, 20)]
-            for _, stack, _, svd in _stacks(1, n_p, feed, tilted, f_values):
-                for scenario, sigma in zip(stack, svd[0]):
-                    exact = single_feeder_power(scenario)
-                    ratio = float(sigma[0]) ** 2 / exact
+            for index, _, sigma, _ in _stacks(1, n_p, feed, tilted,
+                                              f_values):
+                for i, s in zip(index, sigma, strict=True):
+                    exact = single_feeder_power(
+                        Scenario(1, n_p, f_values[i], feed, tilted))
+                    ratio = float(s[0]) ** 2 / exact
                     worst = max(worst, abs(10.0 * math.log10(ratio)))
         # measured: at most 2.9e-15 dB
         assert worst <= 1e-14

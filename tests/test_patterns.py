@@ -12,13 +12,13 @@ from risfeed import patterns
 from risfeed.cli import main, write_pattern_csv, write_profile_csv
 from risfeed.geometry import make_center_feed, make_end_feed
 from risfeed.coupling import build_T, element_gain
-from risfeed.modes import BeamVector, svd_modes, nonpem_vector
+from risfeed.modes import BeamVector, svd_modes
 from risfeed.patterns import (PatternCurve, steering_vector, amaf_pattern,
                               ris_excitation, ris_pattern, sidelobe_level,
                               default_grid)
 from risfeed.sweep import optimize_f
 
-from oracles import brute_force_sidelobe
+from oracles import brute_force_sidelobe, feeder_beam
 
 
 def end_feed_setup(n_p=128, f=110.0, tilted=True):
@@ -102,7 +102,7 @@ class TestSteeringReuse:
         mags = []
         for f in f_values:
             T, m = end_feed_setup(128, f)
-            b = nonpem_vector(m.beam(0))
+            b = feeder_beam(m, "nonpem")
             mags.append(ris_excitation(T, b))
         amaf_pattern(b, default_grid(1.0))     # leave another grid behind
         curves = patterns._patterns(np.column_stack(mags), None)
@@ -239,7 +239,7 @@ class TestAmafPattern:
     def test_nonpem_peak_split(self):
         # untilted end feed: array factor and element factor at broadside
         T, m = end_feed_setup(tilted=False)
-        b = nonpem_vector(m.beam(0))
+        b = feeder_beam(m, "nonpem")
         curve = amaf_pattern(b)
         af_db = 10 * np.log10(abs(np.sum(b.weights.real)) ** 2)
         assert curve.peak_angle_deg == pytest.approx(0.0)
@@ -304,14 +304,14 @@ class TestRisExcitation:
         T, m = end_feed_setup()
         cv = lambda x: np.std(x) / np.mean(x)
         pem = ris_excitation(T, m.beam(0))
-        nonpem = ris_excitation(T, nonpem_vector(m.beam(0)))
+        nonpem = ris_excitation(T, feeder_beam(m, "nonpem"))
         assert cv(nonpem) < cv(pem)
 
     def test_frozen_profile_shape(self):
         # regression: peak element indices for the f=110 end feed
         T, m = end_feed_setup()
         pem = ris_excitation(T, m.beam(0))
-        nonpem = ris_excitation(T, nonpem_vector(m.beam(0)))
+        nonpem = ris_excitation(T, feeder_beam(m, "nonpem"))
         assert int(np.argmax(pem)) + 1 == 36
         assert int(np.argmax(nonpem)) + 1 == 53
 
@@ -411,7 +411,7 @@ class TestRealWeights:
 class TestSidelobeLevel:
     def test_matches_brute_force_scan(self):
         T, m = end_feed_setup(32, 16.0)
-        curve = ris_pattern(T, nonpem_vector(m.beam(0)))
+        curve = ris_pattern(T, feeder_beam(m, "nonpem"))
         got = sidelobe_level(curve)
         ref = brute_force_sidelobe(curve.angles_deg, curve.power_dbi)
         assert got == pytest.approx(ref, abs=1e-12)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from risfeed.cli import write_table_csv, write_trace_csv
-from risfeed.modes import ModeAnalysis, nonpem_vector
+from risfeed.geometry import Scenario
 from risfeed.patterns import ris_pattern, sidelobe_level
 from risfeed.sweep import (OBJECTIVES, _CHUNK, run_grid, optimize_f,
                            analyze_point, _beam_for, _stacks)
+
+from oracles import feeder_beam
 
 # feed styles analyze_point does not know: it builds only "end" (tilted
 # or not) and untilted "center"
@@ -257,8 +259,7 @@ def single_curve_sll(n_a, n_p, feed, tilted, beam, f):
     if point is None:
         return None
     _, T, modes, _ = point
-    b = modes.beam(0) if beam == "pem" else nonpem_vector(modes.beam(0))
-    return sidelobe_level(ris_pattern(T, b))
+    return sidelobe_level(ris_pattern(T, feeder_beam(modes, beam)))
 
 
 class TestBatchedMinSll:
@@ -306,21 +307,28 @@ class TestBatchedMinSll:
 
 
 def stacked_scan(monkeypatch, n_a, n_p, feed, tilted, beam, f_values):
-    """The (index, scenario, T entries, modes) points of a scan's stacks,
-    and the surface excitations that optimize_f scores, one per point."""
-    points = [(i, scenario, entries, ModeAnalysis(*mode))
-              for index, stack, M, svd in _stacks(n_a, n_p, feed, tilted,
-                                                  f_values)
-              for i, scenario, entries, mode in zip(index, stack, M,
-                                                    zip(*svd), strict=True)]
-    excitations = []
+    """The (index, T entries, sigma, V) points of a scan's stacks, and the
+    feeder weights and surface excitations that optimize_f forms from
+    them, one per point."""
+    points = [(i, entries, s, V)
+              for index, M, sigma, right in _stacks(n_a, n_p, feed, tilted,
+                                                    f_values)
+              for i, entries, s, V in zip(index, M, sigma, right,
+                                          strict=True)]
+    weights, excitations = [], []
+
+    def beam_spy(v1, name):
+        W = _beam_for(v1, name)
+        weights.extend(W)
+        return W
 
     def score_spy(objective, X):
         excitations.extend(X)
         return [0.0] * len(X)
+    monkeypatch.setattr("risfeed.sweep._beam_for", beam_spy)
     monkeypatch.setattr("risfeed.sweep._score", score_spy)
     optimize_f(n_a, n_p, feed, tilted, beam, f_values, "max_power")
-    return points, excitations
+    return points, weights, excitations
 
 
 F80 = [4.0 + 0.5 * i for i in range(80)]
@@ -328,7 +336,7 @@ F80 = [4.0 + 0.5 * i for i in range(80)]
 
 class TestStackedScan:
     """The scan analyzes its distances in stacks; every point keeps the
-    bits of its own analyze_point and _beam_for."""
+    bits of its own analyze_point and of the beam the CLI draws there."""
 
     @pytest.mark.parametrize("beam", ["pem", "nonpem"])
     @pytest.mark.parametrize("n_a,n_p,feed,tilted,f_values", [
@@ -347,32 +355,30 @@ class TestStackedScan:
             "np2-padded", "odd-sizes", "narrow-stacks"])
     def test_points_match_analyze_point(self, monkeypatch, n_a, n_p, feed,
                                         tilted, f_values, beam):
-        points, excitations = stacked_scan(monkeypatch, n_a, n_p, feed,
-                                           tilted, beam, f_values)
+        points, weights, excitations = stacked_scan(
+            monkeypatch, n_a, n_p, feed, tilted, beam, f_values)
         ref = []
         for i, f in enumerate(f_values):
             point = analyze_or_none(n_a, n_p, f, feed, tilted)
             if point is not None:
                 ref.append((i, *point[:3]))
         assert [p[0] for p in points] == [r[0] for r in ref]
-        assert len(excitations) == len(ref)
-        for (_, s, M, modes), x, (_, s_ref, T, m_ref) in zip(
-                points, excitations, ref):
-            assert s.f == s_ref.f
-            assert s == s_ref
+        assert len(weights) == len(excitations) == len(ref)
+        for (i, M, sigma, V), w, x, (_, s_ref, T, m_ref) in zip(
+                points, weights, excitations, ref):
+            assert Scenario(n_a, n_p, f_values[i], feed, tilted) == s_ref
             assert np.array_equal(M, T.entries)
-            for name in ("sigma", "right_vectors", "left_vectors"):
-                assert np.array_equal(getattr(modes, name),
-                                      getattr(m_ref, name))
-            b_ref = _beam_for(m_ref, beam)
-            assert np.array_equal(_beam_for(modes, beam).weights,
-                                  b_ref.weights)
+            assert np.array_equal(sigma, m_ref.sigma)
+            assert np.array_equal(V, m_ref.right_vectors)
+            b_ref = feeder_beam(m_ref, beam)
+            assert np.array_equal(w, b_ref.weights)
             assert np.array_equal(x, T.apply(b_ref.weights))
 
     def test_scan_longer_than_one_stack(self, monkeypatch):
-        points, excitations = stacked_scan(monkeypatch, 4, 32, "end", True,
-                                           "nonpem", F80)
-        assert len(points) == len(excitations) == len(F80) > _CHUNK
+        points, weights, excitations = stacked_scan(
+            monkeypatch, 4, 32, "end", True, "nonpem", F80)
+        assert len(points) == len(weights) == len(excitations) == len(F80)
+        assert len(F80) > _CHUNK
 
     def test_phase_rule_rounds_like_scalar_abs(self):
         # at (4, 2, 8) center the pivot of v_1 has magnitude
@@ -403,3 +409,28 @@ class TestStackedScan:
                        [float(f) for f in range(100, 300)])
         assert shapes == [(width, n_p, n_a)]
         assert width * n_p * n_a <= 2 ** 20
+
+
+class TestBeamFor:
+    """One PEM/non-PEM rule for a point and a stack: each row of a
+    stacked result keeps the bits of the rule on that row alone."""
+
+    @pytest.mark.parametrize("beam", ["pem", "nonpem"])
+    @pytest.mark.parametrize("n_a", [1, 4, 16])
+    def test_stack_matches_rows(self, n_a, beam):
+        # 100 f at N_p = 32: stacks of 64 and 36
+        f_values = [20.0 + 0.75 * i for i in range(100)]
+        rows = 0
+        for _, _, _, right in _stacks(n_a, 32, "end", True, f_values):
+            v1 = right[:, :, 0]
+            W = _beam_for(v1, beam)
+            assert W.shape == v1.shape
+            for k, w in enumerate(W):
+                assert np.array_equal(w, _beam_for(v1[k], beam))
+                assert np.array_equal(w, _beam_for(v1[k].copy(), beam))
+            rows += len(W)
+        assert rows == len(f_values)
+
+    def test_unknown_beam(self):
+        with pytest.raises(ValueError, match="unknown beam 'pem2'"):
+            _beam_for(np.ones(2), "pem2")
