@@ -22,8 +22,9 @@ to +/-90 degrees, a tilted table at 16 x 1024, tables padded with
 whose zero sigma gives ``-inf``/``inf`` table cells and ``null`` report
 values, tilted end feeds over a one-element surface, with a one-element
 and an odd-sized feeder, and one whose feeder reaches the surface,
-scans with a one-element feeder, and a scan in stacks at the 2^20-entry
-cap) and the benchmark ops at seeds 701 and 702, which come from
+scans with a one-element feeder, a scan in stacks at the 2^20-entry
+cap, an angle grid whose cells hold exact ``%.6f`` ties, and a 36,001-row
+surface pattern) and the benchmark ops at seeds 701 and 702, which come from
 ``bench/workloads.py`` (imported, never changed).
 """
 
@@ -119,7 +120,14 @@ EDGE = [
     for beam in ("pem", "nonpem")] + [
     # stacks of 64 f at 16 x 1024, each at the 2^20-entry cap
     "sweep-f --na 16 --np 1024 --feed center --f-min 100 --f-max 180 "
-    "--f-step 1 --beam nonpem --objective max_power"]
+    "--f-step 1 --beam nonpem --objective max_power",
+    # a 0.0078125-degree grid: 11,520 angle cells are exact %.6f ties,
+    # which round half to even
+    "pattern --np 8 --f 8 --grid-step 0.0078125",
+    # 36,001 rows of a 1024-element surface pattern
+    "pattern --array ris --na 16 --np 1024 --f 40 --grid-step 0.005",
+    "pattern --array ris --na 4 --np 128 --f 110 --feed end --tilted "
+    "--beam nonpem"]
 
 BENCH_SEEDS = (701, 702)
 BENCH_OPS = {"sweep_f": 4, "mode_table": 8, "report_files": 8}
