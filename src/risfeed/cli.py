@@ -247,10 +247,64 @@ def write_mode_report(report, path):
         fh.write(text + "\n")
 
 
+# a '%.6f' cell of _fixed6_rows as three four-byte groups, each read as
+# one little-endian uint32 from a 1000-row table: a sign byte (set later)
+# and the integer part, its leading zeros 0 bytes; the point and the
+# first three decimals; the last three decimals and the separator
+_WHOLE = np.frombuffer(b"".join(b"\0%3d" % n for n in range(1000))
+                       .replace(b" ", b"\0"), "<u4")
+_POINT = np.frombuffer(b"".join(b".%03d" % n for n in range(1000)), "<u4")
+_LAST = np.frombuffer(b"".join(b"%03d," % n for n in range(1000)), "<u4")
+
+
+def _fixed6_rows(x):
+    """The CRLF-ended CSV rows of a (rows, columns) float array with each
+    cell as '%.6f' gives it, as bytes; None if a cell is not finite
+    or reaches 999.999999 in magnitude, where it may not fit its slot of
+    a sign, three integer digits, a point and six decimals.
+
+    y = |x| * 1e6 is the double nearest the exact product, and every
+    half-integer below 2**52 is a double, so none lies strictly between
+    the two: rint(y) rounds as % does unless y is itself a half-integer.
+    % formats those cells, the exact ties among them. Zero bytes are
+    dropped at the end.
+    """
+    with np.errstate(over="ignore"):
+        y = np.abs(x) * 1e6
+    if not np.all(y < 999999999.0):       # false for nan
+        return None
+    r = np.rint(y)
+    k = r.astype(np.int32)
+    thousands = k // 1000
+    whole = thousands // 1000
+    n, m = x.shape
+    groups = np.empty((n, 3 * m + 1), "<u4")
+    groups[:, 0:-1:3] = _WHOLE[whole]
+    groups[:, 1:-1:3] = _POINT[thousands - 1000 * whole]
+    groups[:, 2:-1:3] = _LAST[k - 1000 * thousands]
+    groups[:, -1] = ord("\n")
+    text = groups.view(np.uint8)          # (n, 12 m + 4)
+    text[:, 0:-4:12] = np.where(np.signbit(x), ord("-"), 0)
+    i, j = np.nonzero(np.abs(y - r) == 0.5)
+    cells = b"".join((b"%.6f" % v).ljust(11, b"\0") + b"," for v in x[i, j])
+    groups[i[:, None], 3 * j[:, None] + [0, 1, 2]] = np.frombuffer(
+        cells, "<u4").reshape(-1, 3)
+    text[:, -5] = ord("\r")
+    return text.tobytes().translate(None, b"\0")
+
+
 def write_pattern_csv(curve, path):
-    _write_csv(path, ["angle_deg", "power_dbi", "power_norm_db"],
-               "%.6f,%.6f,%.6f",
-               [curve.angles_deg, curve.power_dbi, curve.power_norm_db])
+    """One row per angle, every cell '%.6f'; the body comes from
+    _fixed6_rows in one write, or from _write_csv if it cannot format a
+    cell."""
+    header = ["angle_deg", "power_dbi", "power_norm_db"]
+    columns = [curve.angles_deg, curve.power_dbi, curve.power_norm_db]
+    body = _fixed6_rows(np.stack(columns, axis=1))
+    if body is None:
+        _write_csv(path, header, "%.6f,%.6f,%.6f", columns)
+        return
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode() + body)
 
 
 def write_profile_csv(magnitudes, path):

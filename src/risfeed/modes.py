@@ -87,9 +87,11 @@ def _fix_phase(Vh):
 
 
 def _svd_stack(M):
-    """(sigma, right, left) of each matrix of an (F, N_p, N_a) stack, as
-    ModeAnalysis holds them, shaped (F, N_a), (F, N_a, N_a) and
-    (F, N_p, N_a)."""
+    """(sigma, right, U, factor) of each matrix of an (F, N_p, N_a) stack:
+    sigma and right as ModeAnalysis holds them, shaped (F, N_a) and
+    (F, N_a, N_a); LAPACK's U, (F, max(N_p, N_a), N_a); and the (F, N_a)
+    phase factors _fix_phase put on the right vectors, which svd_modes
+    puts on U's columns to form the left vectors."""
     n_f, n_p, n_a = M.shape
     # zero rows keep V^H at N_a x N_a when the surface is the smaller
     # array, without the N_p x N_p U that full_matrices=True would build
@@ -97,18 +99,17 @@ def _svd_stack(M):
         M = np.concatenate([M, np.zeros((n_f, n_a - n_p, n_a))], axis=1)
     U, sigma, Vh = np.linalg.svd(M, full_matrices=False)
     right, factor = _fix_phase(Vh)
-    left = np.where(sigma[:, None, :] > 0,
-                    U[:, :n_p, :] * factor[:, None, :], 0)
-    return sigma, right, left
+    return sigma, right, U, factor
 
 
 def svd_modes(T: PropagationMatrix) -> ModeAnalysis:
     """Singular values and vectors of T from one LAPACK SVD."""
     if T.entries.size == 0:
         raise ValueError("empty propagation matrix")
-    sigma, right, left = _svd_stack(T.entries[None])
+    sigma, right, U, factor = _svd_stack(T.entries[None])
+    left = np.where(sigma[0] > 0, U[0, :T.entries.shape[0]] * factor[0], 0)
     return ModeAnalysis(sigma=sigma[0], right_vectors=right[0],
-                        left_vectors=left[0])
+                        left_vectors=left)
 
 
 def isotropic_loss_db(f) -> float:

@@ -90,7 +90,7 @@ def _stacks(n_a, n_p, feed_style, tilted, f_values):
         index = clear[start:start + width].tolist()
         M = _T_stack(*_layout(n_a, n_p, f[index], feed_style, tilted),
                      f[index])
-        sigma, right, _ = _svd_stack(M)
+        sigma, right, _, _ = _svd_stack(M)
         yield index, M, sigma, right
 
 

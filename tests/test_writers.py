@@ -5,6 +5,7 @@ undefined rows, ties, the magnitude floor, and the finest angle grid."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from risfeed import cli, coupling, modes, patterns, sweep
 from risfeed.cli import (write_pattern_csv, write_profile_csv,
@@ -71,6 +72,73 @@ class TestPatternCsv:
         curve = ris_pattern(T, svd_modes(T).beam(0))
         assert_same_bytes(tmp_path, write_pattern_csv,
                           oracles.csv_write_pattern, curve)
+
+    def test_tie_grid(self, tmp_path):
+        """Angles k/128 - 90: 11,520 cells are exact %.6f ties, which
+        round half to even."""
+        b = svd_modes(build_T(make_center_feed(4, 8, 8))).beam(0)
+        curve = amaf_pattern(b, default_grid(0.0078125))
+        y = np.abs(curve.angles_deg) * 1e6
+        assert np.count_nonzero(y - np.floor(y) == 0.5) == 11520
+        assert_same_bytes(tmp_path, write_pattern_csv,
+                          oracles.csv_write_pattern, curve)
+
+
+def percent_rows(rows):
+    return b"".join(b",".join(b"%.6f" % v for v in row) + b"\r\n"
+                    for row in rows)
+
+
+def _near_half(m, steps):
+    """The float `steps` nextafter steps from (m + 0.5) * 1e-6."""
+    x = (m + 0.5) * 1e-6
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, np.copysign(INF, steps))
+    return float(x)
+
+
+# cells a pattern holds: below 999.999998 in magnitude, with ties k/128,
+# floats within two steps of a half-unit in the sixth decimal, and
+# negatives that print as -0.000000
+FIXED6 = st.one_of(
+    st.floats(-999.999998, 999.999998),
+    st.integers(-999 * 128, 999 * 128).map(lambda k: k / 128),
+    st.builds(_near_half, st.integers(-999999999, 999999998),
+              st.integers(-2, 2)),
+    st.floats(-5e-7, 0.0, exclude_min=True, exclude_max=True),
+)
+# and any double, including nan, infinities, signed zeros and subnormals,
+# and cells at the slot's edge
+CELLS = st.one_of(
+    st.floats(), FIXED6,
+    st.sampled_from([s * v for s in (1.0, -1.0) for v in (
+        999.999998, 999.999999, np.nextafter(999.999999, 0.0),
+        999.9999995, np.nextafter(999.9999995, 0.0),
+        np.nextafter(1000.0, 0.0), 1000.0)]),
+)
+
+
+class TestFixed6Rows:
+    """cli._fixed6_rows gives each cell's '%.6f' bytes, or refuses the
+    array (write_pattern_csv then takes _write_csv)."""
+
+    @settings(derandomize=True, deadline=None, max_examples=1500)
+    @given(CELLS)
+    def test_cell_is_percent_or_refused(self, v):
+        body = cli._fixed6_rows(np.array([[v]]))
+        if body is None:
+            assert not abs(v) < 999.999998
+        else:
+            assert body == percent_rows([[v]])
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(FIXED6, FIXED6, FIXED6), min_size=1,
+                    max_size=12))
+    def test_rows_are_percent(self, rows):
+        assert cli._fixed6_rows(np.array(rows)) == percent_rows(rows)
+
+    def test_no_rows(self):
+        assert cli._fixed6_rows(np.empty((0, 3))) == b""
 
 
 class TestProfileCsv:
