@@ -137,9 +137,6 @@ class TestFixed6Rows:
     def test_rows_are_percent(self, rows):
         assert cli._fixed6_rows(np.array(rows)) == percent_rows(rows)
 
-    def test_no_rows(self):
-        assert cli._fixed6_rows(np.empty((0, 3))) == b""
-
 
 class TestProfileCsv:
     def test_zero_and_special_magnitudes(self, tmp_path):
