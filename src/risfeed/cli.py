@@ -251,10 +251,10 @@ def write_mode_report(report, path):
 # one little-endian uint32 from a 1000-row table: a sign byte (set later)
 # and the integer part, its leading zeros 0 bytes; the point and the
 # first three decimals; the last three decimals and the separator
-_WHOLE = np.frombuffer(b"".join(b"\0%3d" % n for n in range(1000))
+_WHOLE = np.frombuffer((b"\0%3d" * 1000 % tuple(range(1000)))
                        .replace(b" ", b"\0"), "<u4")
-_POINT = np.frombuffer(b"".join(b".%03d" % n for n in range(1000)), "<u4")
-_LAST = np.frombuffer(b"".join(b"%03d," % n for n in range(1000)), "<u4")
+_POINT = np.frombuffer(b".%03d" * 1000 % tuple(range(1000)), "<u4")
+_LAST = np.frombuffer(b"%03d," * 1000 % tuple(range(1000)), "<u4")
 
 
 def _fixed6_rows(x):
