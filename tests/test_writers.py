@@ -89,7 +89,7 @@ def percent_rows(rows):
                     for row in rows)
 
 
-def _near_half(m, steps):
+def near_half(m, steps):
     """The float `steps` nextafter steps from (m + 0.5) * 1e-6."""
     x = (m + 0.5) * 1e-6
     for _ in range(abs(steps)):
@@ -103,7 +103,7 @@ def _near_half(m, steps):
 FIXED6 = st.one_of(
     st.floats(-999.999998, 999.999998),
     st.integers(-999 * 128, 999 * 128).map(lambda k: k / 128),
-    st.builds(_near_half, st.integers(-999999999, 999999998),
+    st.builds(near_half, st.integers(-999999999, 999999998),
               st.integers(-2, 2)),
     st.floats(-5e-7, 0.0, exclude_min=True, exclude_max=True),
 )
