@@ -58,15 +58,32 @@ def _pair_geometry(surface, surface_boresight, feeders, feeder_boresights):
     Returns (r, cos_theta, cos_phi), each shaped (feeder, surface, feeder
     element).
     """
-    d = surface[:, None, :] - feeders[:, None, :, :]    # feeder -> surface
-    r = np.linalg.norm(d, axis=-1)
-    if np.any(r == 0.0):
+    (n_f, n_a, _), n_p = feeders.shape, len(surface)
+    d = np.empty((n_f, n_p, n_a, 2))                    # feeder -> surface
+    for k in (0, 1):    # one component at a time: longer inner loops
+        np.subtract(surface[:, None, k], feeders[:, None, :, k], out=d[..., k])
+    r, cos_theta, cos_phi = (np.empty(d.shape[:3]) for _ in range(3))
+    # the bits of np.linalg.norm(d, axis=-1), with cos_phi as scratch
+    np.add(np.square(d[..., 0], out=r), np.square(d[..., 1], out=cos_phi),
+           out=r)
+    np.sqrt(r, out=r)
+    if not r.all():
         _, n, m = np.argwhere(r == 0.0)[0]
         raise ValueError(f"coincident elements: surface {n}, feeder {m}")
-    # a (2, 1) column per feeder: these bits match d @ boresight of one
-    cos_theta = (np.matmul(d, feeder_boresights[..., None, :, None])[..., 0]
-                 / r)
-    cos_phi = (-d @ surface_boresight) / r
+    # Each cosine's numerator is one BLAS product per feeder: a (2, 1)
+    # boresight column against all of the feeder's rows gives the fused
+    # multiply-add bits of a product per surface element (an elementwise
+    # dx*s + dy*c would not), in one call, not one per element. A
+    # one-element feeder keeps its product per element, because BLAS fuses
+    # the other term in the dot of a single row.
+    blocks = (n_f, n_p, 1) if n_a == 1 else (n_f, 1, n_p * n_a)
+    rows = d.reshape(blocks + (2,))
+    np.matmul(rows, feeder_boresights[:, None, :, None],
+              out=cos_theta.reshape(blocks + (1,)))
+    np.matmul(rows, -surface_boresight[:, None],
+              out=cos_phi.reshape(blocks + (1,)))
+    cos_theta /= r
+    cos_phi /= r
     return r, cos_theta, cos_phi
 
 
@@ -76,12 +93,17 @@ def _T_stack(surface, surface_boresight, feeders, feeder_boresights, f):
     on the rest of the stack. A distance so large that r overflows
     raises a ValueError naming its f, in place of numpy warnings."""
     with np.errstate(all="ignore"):
-        r, cos_theta, cos_phi = _pair_geometry(
+        r, amp, cos_phi = _pair_geometry(
             surface, surface_boresight, feeders, feeder_boresights)
-        # sqrt(E(theta) * E(phi)) with E = 4*cos+^2
-        amp = (4.0 * np.maximum(cos_theta, 0.0) * np.maximum(cos_phi, 0.0)
-               / (2.0 * np.pi * r))
-        entries = amp * np.exp(1j * np.pi * r)
+        # sqrt(E(theta) * E(phi)) / (2 pi r) with E = 4*cos+^2, in place
+        np.maximum(amp, 0.0, out=amp)
+        amp *= 4.0
+        amp *= np.maximum(cos_phi, 0.0, out=cos_phi)
+        amp /= np.multiply(r, 2.0 * np.pi, out=cos_phi)
+        del cos_phi
+        entries = np.multiply(r, 1j * np.pi)
+        np.exp(entries, out=entries)
+        entries *= amp
     if not np.isfinite(entries).all():
         k = np.argmin(np.isfinite(entries).all(axis=(1, 2)))
         raise ValueError("propagation matrix is not finite at "

@@ -7,7 +7,8 @@ needs neither T nor an SVD, and the sidelobe oracle walks the sampled
 curve one sample at a time, the loop that the package's array
 comparisons replaced. The CSV writers below are the package's former
 per-row csv.writer bodies, the byte-for-byte reference for its
-block-formatted writers. Two helpers call the package instead:
+block-formatted writers, and reference_T_stack is the package's former
+propagation kernel, the bit-for-bit reference for its in-place one. Two helpers call the package instead:
 scenario_arrays lays out one scenario, and feeder_beam forms the feeder
 excitation the CLI draws from one mode analysis.
 """
@@ -105,6 +106,31 @@ def single_feeder_power(scenario):
         terms.append(16.0 * (cos_theta * cos_phi) ** 2
                      / (2.0 * math.pi * r) ** 2)
     return math.fsum(terms)
+
+
+def reference_T_stack(surface, surface_boresight, feeders,
+                      feeder_boresights, f):
+    """The package's former _pair_geometry and _T_stack, statement for
+    statement: d and r = np.linalg.norm(d) as new arrays, the cosines from
+    one (2, 1) product per surface element, then amp and exp(j pi r) out
+    of place."""
+    with np.errstate(all="ignore"):
+        d = surface[:, None, :] - feeders[:, None, :, :]    # feeder -> surface
+        r = np.linalg.norm(d, axis=-1)
+        if np.any(r == 0.0):
+            _, n, m = np.argwhere(r == 0.0)[0]
+            raise ValueError(f"coincident elements: surface {n}, feeder {m}")
+        cos_theta = (np.matmul(d, feeder_boresights[..., None, :, None])[..., 0]
+                     / r)
+        cos_phi = (-d @ surface_boresight) / r
+        amp = (4.0 * np.maximum(cos_theta, 0.0) * np.maximum(cos_phi, 0.0)
+               / (2.0 * np.pi * r))
+        entries = amp * np.exp(1j * np.pi * r)
+    if not np.isfinite(entries).all():
+        k = np.argmin(np.isfinite(entries).all(axis=(1, 2)))
+        raise ValueError("propagation matrix is not finite at "
+                         f"f={float(f[k])!r}")
+    return entries
 
 
 def brute_force_sidelobe(angles_deg, power_db):

@@ -23,8 +23,9 @@ whose zero sigma gives ``-inf``/``inf`` table cells and ``null`` report
 values, tilted end feeds over a one-element surface, with a one-element
 and an odd-sized feeder, and one whose feeder reaches the surface,
 scans with a one-element feeder, a scan in stacks at the 2^20-entry
-cap, an angle grid whose cells hold exact ``%.6f`` ties, and a 36,001-row
-surface pattern) and the benchmark ops at seeds 701 and 702, which come from
+cap, an angle grid whose cells hold exact ``%.6f`` ties, a 36,001-row
+surface pattern, a tilted 16-element scan over one full stack of 64 f and
+a tilted table out to f = 1e6) and the benchmark ops at seeds 701 and 702, which come from
 ``bench/workloads.py`` (imported, never changed).
 """
 
@@ -127,7 +128,12 @@ EDGE = [
     # 36,001 rows of a 1024-element surface pattern
     "pattern --array ris --na 16 --np 1024 --f 40 --grid-step 0.005",
     "pattern --array ris --na 4 --np 128 --f 110 --feed end --tilted "
-    "--beam nonpem"]
+    "--beam nonpem",
+    # the T kernel on tilted feeds: one full 64-f stack at N_a 16, and a
+    # table out to f = 1e6
+    "sweep-f --na 16 --np 128 --feed end --tilted --f-min 20 --f-max 83 "
+    "--f-step 1 --beam nonpem --objective min_sll",
+    "table --na 16 --np 64 --f 40,1000,1e6 --feed end --tilted"]
 
 BENCH_SEEDS = (701, 702)
 BENCH_OPS = {"sweep_f": 4, "mode_table": 8, "report_files": 8}
