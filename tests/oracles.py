@@ -8,9 +8,10 @@ curve one sample at a time, the loop that the package's array
 comparisons replaced. The CSV writers below are the package's former
 per-row csv.writer bodies, the byte-for-byte reference for its
 block-formatted writers, and reference_T_stack is the package's former
-propagation kernel, the bit-for-bit reference for its in-place one. Two helpers call the package instead:
-scenario_arrays lays out one scenario, and feeder_beam forms the feeder
-excitation the CLI draws from one mode analysis.
+propagation kernel, the bit-for-bit reference for its in-place one. Two
+helpers call the package instead: scenario_arrays lays out one scenario,
+and feeder_beam forms the feeder excitation the CLI draws from one mode
+analysis.
 """
 
 import csv
@@ -120,8 +121,8 @@ def reference_T_stack(surface, surface_boresight, feeders,
         if np.any(r == 0.0):
             _, n, m = np.argwhere(r == 0.0)[0]
             raise ValueError(f"coincident elements: surface {n}, feeder {m}")
-        cos_theta = (np.matmul(d, feeder_boresights[..., None, :, None])[..., 0]
-                     / r)
+        cos_theta = (
+            np.matmul(d, feeder_boresights[..., None, :, None])[..., 0] / r)
         cos_phi = (-d @ surface_boresight) / r
         amp = (4.0 * np.maximum(cos_theta, 0.0) * np.maximum(cos_phi, 0.0)
                / (2.0 * np.pi * r))

@@ -25,8 +25,8 @@ and an odd-sized feeder, and one whose feeder reaches the surface,
 scans with a one-element feeder, a scan in stacks at the 2^20-entry
 cap, an angle grid whose cells hold exact ``%.6f`` ties, a 36,001-row
 surface pattern, a tilted 16-element scan over one full stack of 64 f and
-a tilted table out to f = 1e6) and the benchmark ops at seeds 701 and 702, which come from
-``bench/workloads.py`` (imported, never changed).
+a tilted table out to f = 1e6) and the benchmark ops at seeds 701 and
+702, which come from ``bench/workloads.py`` (imported, never changed).
 """
 
 import hashlib
