@@ -9,6 +9,10 @@ plus the distance phase:
 with r in lambda/2 units, theta the departure angle from the feeder
 element boresight and phi the arrival angle from the surface element
 boresight.
+
+A layout that is its own mirror image about x = 0, as a center feed is,
+has T[n, m] = T[N_p-1-n, N_a-1-m] bit for bit, so only the first
+ceil(N_p/2) surface rows are computed and the rest are copied from them.
 """
 
 from dataclasses import dataclass
@@ -16,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _layout
+
+_FLIP = np.array([-1.0, 1.0])     # reflection about x = 0
 
 
 def element_gain(theta):
@@ -87,27 +93,52 @@ def _pair_geometry(surface, surface_boresight, feeders, feeder_boresights):
     return r, cos_theta, cos_phi
 
 
+def _mirrored(surface, surface_boresight, feeders, feeder_boresights):
+    """Whether the arrays _pair_geometry takes are their own mirror image
+    about x = 0: every boresight along z, the surface and each feeder
+    row equal to itself reversed and reflected, and N_p > 1."""
+    return (len(surface) > 1 and surface_boresight[0] == 0
+            and not feeder_boresights[:, 0].any()
+            and (feeders[:, ::-1] * _FLIP == feeders).all()
+            and (surface[::-1] * _FLIP == surface).all())
+
+
 def _T_stack(surface, surface_boresight, feeders, feeder_boresights, f):
     """(F, N_p, N_a) propagation entries from the arrays _pair_geometry
     takes, feeder k at distance f[k]; the bits of entry [k] do not depend
     on the rest of the stack. A distance so large that r overflows
-    raises a ValueError naming its f, in place of numpy warnings."""
+    raises a ValueError naming its f, in place of numpy warnings.
+
+    A _mirrored layout computes its first ceil(N_p/2) rows and copies the
+    rest, T[n, m] = T[N_p-1-n, N_a-1-m], with the bits of computing them:
+    a mirrored pair's differences are (-dx, dy) and (dx, dy), so r is
+    equal, and with boresights along z each cosine numerator is dy times
+    the boresight's z plus a zero, however BLAS fuses it; a zero
+    numerator's sign is dropped by cos+.
+    """
+    n_p = len(surface)
+    rows = (n_p + 1) // 2 if _mirrored(
+        surface, surface_boresight, feeders, feeder_boresights) else n_p
     with np.errstate(all="ignore"):
         r, amp, cos_phi = _pair_geometry(
-            surface, surface_boresight, feeders, feeder_boresights)
+            surface[:rows], surface_boresight, feeders, feeder_boresights)
         # sqrt(E(theta) * E(phi)) / (2 pi r) with E = 4*cos+^2, in place
         np.maximum(amp, 0.0, out=amp)
         amp *= 4.0
         amp *= np.maximum(cos_phi, 0.0, out=cos_phi)
         amp /= np.multiply(r, 2.0 * np.pi, out=cos_phi)
         del cos_phi
-        entries = np.multiply(r, 1j * np.pi)
-        np.exp(entries, out=entries)
-        entries *= amp
-    if not np.isfinite(entries).all():
-        k = np.argmin(np.isfinite(entries).all(axis=(1, 2)))
+        entries = np.empty((len(r), n_p, r.shape[2]), complex)
+        top = entries[:, :rows]
+        np.multiply(r, 1j * np.pi, out=top)
+        np.exp(top, out=top)
+        top *= amp
+        del r, amp      # free before the mirror copy, which takes a temporary
+    if not np.isfinite(top).all():
+        k = np.argmin(np.isfinite(top).all(axis=(1, 2)))
         raise ValueError("propagation matrix is not finite at "
                          f"f={float(f[k])!r}")
+    entries[:, rows:] = entries[:, :n_p - rows][:, ::-1, ::-1]
     return entries
 
 

@@ -1,11 +1,12 @@
 """Eigenmode analysis of the propagation matrix.
 
-The SVD is one LAPACK call on T itself, which avoids squaring the
-condition number as an eigensolve of the Gram matrix T^H T would.
+The SVD is one LAPACK call on T itself, or, for a stack of tall T, on
+the R factor of each T = QR, the one zgesdd would form. Neither squares
+the condition number as an eigensolve of the Gram matrix T^H T would.
 Global phase of each right vector is fixed so its largest-magnitude
 entry is real and positive (lowest index on ties), which makes every
-downstream file reproducible bit for bit; its left vector, the U column
-of the same call, takes the same phase.
+downstream file reproducible bit for bit. Only svd_modes forms left
+vectors: its U columns take the same phase.
 
 A sweep analyzes a stack of matrices in one call, and each keeps the
 bits of its own svd_modes. So the rule divides by the pivot's magnitude
@@ -20,6 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import PropagationMatrix
+
+# zgesdd scales a matrix whose largest entry magnitude lies outside
+# [_SMALL, _BIG] before it factors it
+_SMALL = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
+_BIG = 1.0 / _SMALL
 
 
 @dataclass(frozen=True)
@@ -86,27 +92,48 @@ def _fix_phase(Vh):
     return V, factor
 
 
-def _svd_stack(M):
-    """(sigma, right, U, factor) of each matrix of an (F, N_p, N_a) stack:
-    sigma and right as ModeAnalysis holds them, shaped (F, N_a) and
-    (F, N_a, N_a); LAPACK's U, (F, max(N_p, N_a), N_a); and the (F, N_a)
-    phase factors _fix_phase put on the right vectors, which svd_modes
-    puts on U's columns to form the left vectors."""
+def _padded(M):
+    """An (F, N_p, N_a) stack with zero rows up to N_a: they keep V^H at
+    N_a x N_a when the surface is the smaller array, without the
+    N_p x N_p U that full_matrices=True would build."""
     n_f, n_p, n_a = M.shape
-    # zero rows keep V^H at N_a x N_a when the surface is the smaller
-    # array, without the N_p x N_p U that full_matrices=True would build
     if n_p < n_a:
         M = np.concatenate([M, np.zeros((n_f, n_a - n_p, n_a))], axis=1)
-    U, sigma, Vh = np.linalg.svd(M, full_matrices=False)
-    right, factor = _fix_phase(Vh)
-    return sigma, right, U, factor
+    return M
+
+
+def _svd_stack(M):
+    """(sigma, right) of each matrix of an (F, N_p, N_a) stack, as
+    ModeAnalysis holds them, shaped (F, N_a) and (F, N_a, N_a); no U is
+    formed.
+
+    zgesdd factors a tall matrix, N_p >= floor(17 N_a / 9) (its MNTHR1),
+    as QR first and takes the SVD of R (Chan's R-SVD), so the SVD of
+    numpy's R gives the same bits, unless zgesdd scales M or R: it does
+    where the largest entry lies outside [_SMALL, _BIG]. The largest
+    entries of M and R lie in [sigma_1 / sqrt(N_p N_a), sigma_1], so a
+    stack with a sigma_1 outside [2 _SMALL sqrt(N_p N_a), _BIG / 2] is
+    analyzed whole instead.
+    """
+    _, n_p, n_a = M.shape
+    if n_p >= 17 * n_a // 9:
+        _, sigma, Vh = np.linalg.svd(np.linalg.qr(M, mode="r"),
+                                     full_matrices=False)
+        sigma_1 = sigma[:, 0]
+        if (np.all(2 * _SMALL * np.sqrt(n_p * n_a) <= sigma_1)
+                and np.all(sigma_1 <= _BIG / 2)):
+            return sigma, _fix_phase(Vh)[0]
+    _, sigma, Vh = np.linalg.svd(_padded(M), full_matrices=False)
+    return sigma, _fix_phase(Vh)[0]
 
 
 def svd_modes(T: PropagationMatrix) -> ModeAnalysis:
     """Singular values and vectors of T from one LAPACK SVD."""
     if T.entries.size == 0:
         raise ValueError("empty propagation matrix")
-    sigma, right, U, factor = _svd_stack(T.entries[None])
+    U, sigma, Vh = np.linalg.svd(_padded(T.entries[None]),
+                                 full_matrices=False)
+    right, factor = _fix_phase(Vh)
     left = np.where(sigma[0] > 0, U[0, :T.entries.shape[0]] * factor[0], 0)
     return ModeAnalysis(sigma=sigma[0], right_vectors=right[0],
                         left_vectors=left)

@@ -80,8 +80,9 @@ def _beam_for(v1, beam):
 def _stacks(n_a, n_p, feed_style, tilted, f_values):
     """(indices, M, sigma, right) for each stack of up to _CHUNK f whose
     feeder clears the surface, each no larger than one T at the caps: M is
-    the _T_stack at f_values[indices], sigma and right its _svd_stack's,
-    each matrix with the bits of analyze_point at its f."""
+    the _T_stack at f_values[indices], sigma and right its _svd_stack's
+    (no U is formed), each matrix with the bits of analyze_point at its
+    f."""
     f = np.array([Scenario(n_a, n_p, x, feed_style, tilted).f  # names a bad f
                   for x in f_values], dtype=float)
     clear = np.flatnonzero(_clears(n_a, n_p, f, feed_style, tilted))
@@ -90,7 +91,7 @@ def _stacks(n_a, n_p, feed_style, tilted, f_values):
         index = clear[start:start + width].tolist()
         M = _T_stack(*_layout(n_a, n_p, f[index], feed_style, tilted),
                      f[index])
-        sigma, right, _, _ = _svd_stack(M)
+        sigma, right = _svd_stack(M)
         yield index, M, sigma, right
 
 

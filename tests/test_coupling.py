@@ -7,7 +7,7 @@ import pytest
 
 from risfeed.geometry import (Scenario, _layout, make_center_feed,
                               make_end_feed)
-from risfeed.coupling import (PropagationMatrix, element_gain,
+from risfeed.coupling import (PropagationMatrix, element_gain, _mirrored,
                               _pair_geometry, _T_stack, build_T)
 from risfeed.modes import svd_modes
 from risfeed.sweep import _stacks
@@ -189,7 +189,8 @@ class TestLeanKernel:
                                               ("end", True)])
     @pytest.mark.parametrize("n_a", [1, 3, 4, 16])
     def test_bits_match_former_kernel(self, feed, tilted, n_a):
-        for n_p in (1, 2, 8, 128, 1024):
+        # odd N_p: a mirrored center feed computes its middle row itself
+        for n_p in (1, 2, 3, 7, 8, 127, 128, 1023, 1024):
             assert_same_bits(_layout(n_a, n_p, self.F, feed, tilted), self.F)
             # one distance at a time: a stack of one feeder
             assert_same_bits(_layout(n_a, n_p, self.F[3:4], feed, tilted),
@@ -203,6 +204,42 @@ class TestLeanKernel:
             4, 32, np.array([16.0]), "end", True)
         assert_same_bits((feeders[0], boresights[0], surface[None],
                           up[None]), [16.0])
+
+    def test_only_untilted_center_feeds_are_mirrored(self):
+        for n_p in (2, 3, 8):
+            assert _mirrored(*_layout(4, n_p, self.F, "center", False))
+            assert not _mirrored(*_layout(4, n_p, self.F, "end", False))
+            assert not _mirrored(*_layout(4, n_p, self.F, "end", True))
+        assert not _mirrored(*_layout(4, 1, self.F, "center", False))
+
+    @pytest.mark.parametrize("n_s, n_f", [(8, 4), (7, 3), (3, 7), (2, 1)])
+    def test_bits_match_on_hand_built_mirrored_layouts(self, n_s, n_f):
+        surface, up = line(n_s, 0, (0, 1))
+        feeder, down = line(n_f, 8, (0, -1))
+        layouts = [
+            # roles swapped: the feeder line is the surface
+            (feeder, down, surface[None], up[None]),
+            # back to back: every entry is zero
+            (surface, down, feeder[None], up[None]),
+            # a feeder level with the surface, one element beyond each
+            # end: zero cosine numerators, whose sign cos+ drops
+            (surface, up, np.array([[[-1.0, 0.0], [1.0, 0.0]]]) * (n_s + 1),
+             down[None])]
+        for arrays in layouts:
+            assert _mirrored(*arrays) == (len(arrays[0]) > 1)
+            assert_same_bits(arrays, [8.0])
+        # a stack of two feeders, the second so far that r overflows
+        f = np.array([8.0, 1e308])
+        swapped = np.stack([surface, surface + [0.0, 1e308 - 8.0]])
+        assert_same_bits((feeder, down, swapped, np.stack([up, up])), f)
+        # a feeder shifted off the axis, or either boresight turned off z,
+        # breaks the mirror
+        tilt = np.array([0.6, -0.8])
+        for arrays in [(surface, up, feeder[None] + [0.25, 0.0], down[None]),
+                       (surface, up, feeder[None], tilt[None]),
+                       (surface, -tilt, feeder[None], down[None])]:
+            assert not _mirrored(*arrays)
+            assert_same_bits(arrays, [8.0])
 
     def test_bits_match_back_to_back(self):
         feeder, up = line(2, 8, (0, 1))
@@ -218,8 +255,10 @@ class TestLeanKernel:
 
     def test_traced_peak_at_widest_table_stack(self):
         # 5 f at N_a 16 x N_p 1024, mode_table's widest stack: the result
-        # is 1.31 MB; the former kernel peaked at 5,243,920 B. Measured
-        # 3,286,870 B: d, r and the two cosines (40 B per entry) at once.
+        # is 1.31 MB; the former kernel peaked at 5,243,920 B, and before
+        # the mirror copy this one at 3,286,870 B. Measured 2,100,622 B:
+        # the result with either r and amp of its first half or the mirror
+        # copy's temporary, each 8 B per entry.
         f = np.array([4.0, 8.0, 16.0, 40.0, 120.0])
         arrays = _layout(16, 1024, f, "center", False)
         tracemalloc.start()
@@ -229,4 +268,4 @@ class TestLeanKernel:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 3_290_000
+        assert peak <= 2_101_000

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from risfeed.geometry import make_center_feed, make_end_feed
+from risfeed.geometry import _clears, _layout, make_center_feed, make_end_feed
 from risfeed.cli import mode_report
-from risfeed.coupling import build_T
+from risfeed.coupling import _T_stack, build_T
 from risfeed.modes import (BeamVector, svd_modes, mode_metrics,
-                           isotropic_loss_db)
+                           isotropic_loss_db, _fix_phase, _svd_stack)
 from risfeed.sweep import _beam_for
 
 from oracles import feeder_beam, one_sided_jacobi_svd
@@ -81,8 +81,10 @@ class TestSvdModes:
         err = np.linalg.norm(T.entries - approx) / np.linalg.norm(T.entries)
         assert err < 1e-10
 
-    # sigma down to 6e-12 sigma_1, and a wide T with exact zeros
-    @pytest.mark.parametrize("n_a,n_p,f", [(16, 64, 120), (16, 8, 120)])
+    # sigma down to 6e-12 sigma_1, a wide T with exact zeros, and tall
+    # ones on each side of zgesdd's QR threshold
+    @pytest.mark.parametrize("n_a,n_p,f", [(16, 64, 120), (16, 8, 120),
+                                           (16, 29, 40), (64, 120, 40)])
     def test_left_vectors_orthonormal(self, n_a, n_p, f):
         _, T, m = modes_for(n_a, n_p, f)
         live = m.sigma > 0
@@ -96,6 +98,63 @@ class TestSvdModes:
     def test_sigma_descending(self):
         _, _, m = modes_for(4, 32, 80)
         assert np.all(np.diff(m.sigma) <= 0)
+
+
+def assert_plain_svd_bits(M):
+    """_svd_stack's sigma and V have the bytes of one np.linalg.svd per
+    matrix, a wide one padded with zero rows to N_a x N_a, and
+    _fix_phase."""
+    n_a = M.shape[2]
+    parts = [np.linalg.svd(np.vstack([m, np.zeros((n_a - len(m), n_a))])
+                           if len(m) < n_a else m, full_matrices=False)
+             for m in M]
+    sigma, right = _svd_stack(M)
+    assert sigma.tobytes() == np.array([s for _, s, _ in parts]).tobytes()
+    assert right.tobytes() == _fix_phase(
+        np.array([Vh for _, _, Vh in parts]))[0].tobytes()
+
+
+class TestSvdStack:
+    """_svd_stack takes sigma and V of a tall stack, N_p >= 17 N_a // 9,
+    from the SVD of its R factor, with the bits of one plain SVD of each
+    matrix."""
+
+    F = np.array([0.7, 4.0, 40.0, 120.0, 1e6])
+
+    # each side of the threshold (7, 30 and 120), a wide stack, N_a = 1
+    @pytest.mark.parametrize("n_a, n_p", [
+        (4, 6), (4, 7), (4, 8), (16, 29), (16, 30), (16, 31), (64, 119),
+        (64, 120), (16, 8), (1, 1), (1, 8), (1, 128)])
+    @pytest.mark.parametrize("feed, tilted", [("center", False),
+                                              ("end", False),
+                                              ("end", True)])
+    def test_bits_match_plain_svd(self, n_a, n_p, feed, tilted):
+        f = self.F[_clears(n_a, n_p, self.F, feed, tilted)]
+        assert_plain_svd_bits(_T_stack(*_layout(n_a, n_p, f, feed, tilted),
+                                       f))
+
+    @pytest.mark.parametrize("f", [1e-140, 1e140])
+    def test_bits_match_plain_svd_where_lapack_scales(self, f):
+        # the largest entry leaves zgesdd's unscaled range, where R's SVD
+        # would not give its bits: the stack is analyzed whole
+        f = np.array([8.0, f])
+        assert_plain_svd_bits(_T_stack(*_layout(4, 64, f, "center", False),
+                                       f))
+
+    @pytest.mark.parametrize("n_a, n_p, qr_calls", [
+        (4, 6, 0), (4, 7, 1), (16, 29, 0), (16, 30, 1), (16, 8, 0)])
+    def test_r_factor_only_for_tall_stacks(self, n_a, n_p, qr_calls,
+                                           monkeypatch):
+        calls = []
+
+        def spy(M, mode):
+            calls.append(mode)
+            return qr(M, mode=mode)
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        f = np.array([4.0, 40.0])
+        _svd_stack(_T_stack(*_layout(n_a, n_p, f, "center", False), f))
+        assert calls == ["r"] * qr_calls
 
 
 class TestPowerTransfer:

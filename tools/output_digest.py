@@ -24,9 +24,11 @@ values, tilted end feeds over a one-element surface, with a one-element
 and an odd-sized feeder, and one whose feeder reaches the surface,
 scans with a one-element feeder, a scan in stacks at the 2^20-entry
 cap, an angle grid whose cells hold exact ``%.6f`` ties, a 36,001-row
-surface pattern, a tilted 16-element scan over one full stack of 64 f and
-a tilted table out to f = 1e6) and the benchmark ops at seeds 701 and
-702, which come from ``bench/workloads.py`` (imported, never changed).
+surface pattern, a tilted 16-element scan over one full stack of 64 f,
+a tilted table out to f = 1e6, center-feed tables and a scan at odd N_p,
+tables on each side of LAPACK's QR threshold, and one whose entries
+LAPACK scales) and the benchmark ops at seeds 701 and 702, which come
+from ``bench/workloads.py`` (imported, never changed).
 """
 
 import hashlib
@@ -133,7 +135,20 @@ EDGE = [
     # table out to f = 1e6
     "sweep-f --na 16 --np 128 --feed end --tilted --f-min 20 --f-max 83 "
     "--f-step 1 --beam nonpem --objective min_sll",
-    "table --na 16 --np 64 --f 40,1000,1e6 --feed end --tilted"]
+    "table --na 16 --np 64 --f 40,1000,1e6 --feed end --tilted",
+    # center feeds, whose T is computed for its first ceil(N_p/2) rows and
+    # mirrored: odd N_p (a middle row of its own), and N_p 1 and 2
+    "table --np 1,2,7,1023 --f 0.7,4,40,120,1e6",
+    "table --na 16 --np 7,1023 --f 4,40,120",
+    "sweep-f --np 127 --f-min 60 --f-max 140 --beam nonpem "
+    "--objective min_sll",
+    # each side of zgesdd's QR threshold, N_p >= floor(17 N_a / 9), where
+    # sigma and V come from each R factor
+    "table --na 16 --np 29,30,31 --f 4,40,120,1e6",
+    "table --na 64 --np 119,120 --f 8,40,120 --feed end --tilted",
+    "table --na 64 --np 119,120 --f 8,40,120",
+    # entries so small or large that LAPACK scales them: no R factor
+    "table --np 8,64 --f 1e-140,8,1e140"]
 
 BENCH_SEEDS = (701, 702)
 BENCH_OPS = {"sweep_f": 4, "mode_table": 8, "report_files": 8}
