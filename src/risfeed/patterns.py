@@ -53,9 +53,9 @@ def steering_vector(n, theta):
 # matrix. One matrix is held, at most 590 MB at the CLI caps (1024
 # elements x 36001 angles); the cell's tuple is replaced whole, never
 # edited. The product with k weight columns peaks at 24 * k bytes per
-# angle (the complex field, then one float buffer for the whole dB
-# chain): 5.5 MB for a sweep-f stack of 64 on the default 3601-angle
-# grid.
+# angle (the complex field and the dB buffer it fills; the dB rows and
+# their peak-normalized copy hold 16 * k once it is freed): 5.5 MB for a
+# sweep-f stack of 64 on the default 3601-angle grid.
 _NO_ROWS = np.empty((0, 0), dtype=complex)
 _steering = [(np.empty(0), _NO_ROWS, np.empty(0))]
 
@@ -79,9 +79,10 @@ def _steering_rows(n, theta):
 
 
 def _patterns(W, angles_deg):
-    """Curves of |sum_k W[k, j] exp(-j pi k sin(theta))|^2 * E(theta) over
-    the given angles (default grid if None), one per column j of the
-    (n, k) weight matrix W."""
+    """(angles_deg, power_dbi, power_norm_db) of
+    |sum_k W[k, j] exp(-j pi k sin(theta))|^2 * E(theta) over the given
+    angles (default grid if None): one dB row per column j of the (n, k)
+    weight matrix W, and each row less its peak."""
     if not W.any(axis=0).all():
         raise ValueError("all-zero surface excitation")
     if angles_deg is None:
@@ -108,23 +109,21 @@ def _patterns(W, angles_deg):
     np.maximum(power, _POWER_FLOOR, out=power)
     np.log10(power, out=power)
     power *= 10.0
-    return [_curve(angles_deg, p) for p in power]
+    return angles_deg, power, power - power.max(axis=1, keepdims=True)
 
 
-def _curve(angles_deg, power_dbi):
-    """One sampled pattern, normalized to its (first) peak."""
+def _curve(W, angles_deg):
+    """The pattern of the one weight column W, peak at its first argmax."""
+    angles_deg, (power_dbi,), (power_norm_db,) = _patterns(W, angles_deg)
     k = int(np.argmax(power_dbi))
-    peak = power_dbi[k]
-    return PatternCurve(angles_deg=angles_deg,
-                        power_dbi=power_dbi,
-                        power_norm_db=power_dbi - peak,
+    return PatternCurve(angles_deg, power_dbi, power_norm_db,
                         peak_angle_deg=float(angles_deg[k]),
-                        peak_dbi=float(peak))
+                        peak_dbi=float(power_dbi[k]))
 
 
 def amaf_pattern(b: BeamVector, angles_deg=None) -> PatternCurve:
     """Feeder power pattern: array factor times the patch element factor."""
-    return _patterns(b.weights[:, None], angles_deg)[0]
+    return _curve(b.weights[:, None], angles_deg)
 
 
 def ris_excitation(T: PropagationMatrix, b: BeamVector) -> np.ndarray:
@@ -141,17 +140,17 @@ def ris_pattern(T: PropagationMatrix, b: BeamVector,
     are not renormalized: dBi values include the feeder-to-surface
     propagation loss.
     """
-    return _patterns(np.abs(T.apply(b.weights))[:, None], angles_deg)[0]
+    return _curve(np.abs(T.apply(b.weights))[:, None], angles_deg)
 
 
-def sidelobe_level(curve: PatternCurve):
-    """Highest sidelobe relative to the main peak, in dB.
+def sidelobe_level(power_norm_db):
+    """Highest sidelobe of one row of peak-normalized dB samples, in dB.
 
     The main lobe spans the strict local minima flanking the global
     peak; the result is the largest local maximum outside it. Returns
     None when the curve has no sidelobe (monotone away from the peak).
     """
-    y = curve.power_norm_db
+    y = power_norm_db
     n = y.size
     if n < 3:
         raise ValueError("curve needs at least 3 samples")

@@ -97,14 +97,15 @@ def _stacks(n_a, n_p, feed_style, tilted, f_values):
 
 def _score(objective, X):
     """The objective value of each surface excitation, a row of X; None
-    where undefined. min_sll takes the surface patterns of the stack
-    from one steering-matrix product."""
+    where undefined. min_sll scores the peak-normalized dB rows of the
+    stack's surface patterns, from one steering-matrix product."""
     if objective == "max_power":
         return [float(np.linalg.norm(x) ** 2) for x in X]
     mags = [np.abs(x) for x in X]
     if objective == "min_profile_variation":
         return [float(np.std(m) / np.mean(m)) for m in mags]
-    return list(map(sidelobe_level, _patterns(np.column_stack(mags), None)))
+    _, _, power_norm_db = _patterns(np.column_stack(mags), None)
+    return list(map(sidelobe_level, power_norm_db))
 
 
 def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,

@@ -8,10 +8,11 @@ curve one sample at a time, the loop that the package's array
 comparisons replaced. The CSV writers below are the package's former
 per-row csv.writer bodies, the byte-for-byte reference for its
 block-formatted writers, and reference_T_stack is the package's former
-propagation kernel, the bit-for-bit reference for its in-place one. Two
-helpers call the package instead: scenario_arrays lays out one scenario,
-and feeder_beam forms the feeder excitation the CLI draws from one mode
-analysis.
+propagation kernel, the bit-for-bit reference for its in-place one.
+Three helpers call the package instead: scenario_arrays lays out one
+scenario, feeder_beam forms the feeder excitation the CLI draws from one
+mode analysis, and analyze_or_none analyzes one point where it is
+defined.
 """
 
 import csv
@@ -21,7 +22,7 @@ import numpy as np
 
 from risfeed.geometry import _layout
 from risfeed.modes import BeamVector
-from risfeed.sweep import _beam_for
+from risfeed.sweep import _beam_for, analyze_point
 
 
 def one_sided_jacobi_svd(A, tol=1e-15, max_sweeps=60):
@@ -88,6 +89,16 @@ def feeder_beam(modes, beam):
     """The feeder excitation the CLI draws for one mode analysis: the
     _beam_for rule on its principal right vector, as a BeamVector."""
     return BeamVector(_beam_for(modes.right_vectors[:, 0], beam))
+
+
+def analyze_or_none(n_a, n_p, f, feed, tilted):
+    """analyze_point, or None where the tilted feeder reaches the surface."""
+    try:
+        return analyze_point(n_a, n_p, f, feed, tilted)
+    except ValueError as exc:
+        if "reaches the surface" not in str(exc):
+            raise
+        return None
 
 
 def single_feeder_power(scenario):

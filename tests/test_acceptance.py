@@ -297,7 +297,7 @@ def test_criterion_8_sidelobe_behavior():
     failures = []
     uniform = BeamVector(np.ones(128, dtype=complex) / np.sqrt(128))
     curve = amaf_pattern(uniform)
-    sll = sidelobe_level(curve)
+    sll = sidelobe_level(curve.power_norm_db)
     ref = brute_force_sidelobe(curve.angles_deg, curve.power_dbi)
     check(failures, abs(sll - (-13.26)) <= 0.1,
           f"uniform-aperture sidelobe {sll:.3f} vs -13.26")
@@ -306,14 +306,16 @@ def test_criterion_8_sidelobe_behavior():
     grid = default_grid(0.05)
     sc = make_center_feed(4, 128, 80)
     T = build_T(sc)
-    center_sll = sidelobe_level(ris_pattern(T, svd_modes(T).beam(0), grid))
+    center_sll = sidelobe_level(
+        ris_pattern(T, svd_modes(T).beam(0), grid).power_norm_db)
     for f in range(80, 141, 10):
         sc_e = make_end_feed(4, 128, float(f), tilted=True)
         T_e = build_T(sc_e)
         m_e = svd_modes(T_e)
         for label, beam in (("pem", m_e.beam(0)),
                             ("nonpem", feeder_beam(m_e, "nonpem"))):
-            end_sll = sidelobe_level(ris_pattern(T_e, beam, grid))
+            end_sll = sidelobe_level(
+                ris_pattern(T_e, beam, grid).power_norm_db)
             check(failures, center_sll < end_sll,
                   f"end f={f} {label} sidelobe {end_sll:.2f} not above "
                   f"center {center_sll:.2f}")

@@ -105,9 +105,9 @@ class TestSteeringReuse:
             b = feeder_beam(m, "nonpem")
             mags.append(ris_excitation(T, b))
         amaf_pattern(b, default_grid(1.0))     # leave another grid behind
-        curves = patterns._patterns(np.column_stack(mags), None)
-        assert trace == [(f, sidelobe_level(c))
-                         for f, c in zip(f_values, curves)]
+        _, _, rows = patterns._patterns(np.column_stack(mags), None)
+        assert trace == [(f, sidelobe_level(y))
+                         for f, y in zip(f_values, rows)]
 
 
     # the widest-matrix memo: one steering matrix per grid, narrower
@@ -336,7 +336,7 @@ class TestRisPattern:
         grid = default_grid()
         x = np.ones(128, dtype=complex) / np.sqrt(128)
         curve = amaf_pattern(BeamVector(x), grid)
-        sll = sidelobe_level(curve)
+        sll = sidelobe_level(curve.power_norm_db)
         assert sll == pytest.approx(-13.26, abs=0.1)
 
     def test_broadside_cophase_peaks_at_zero(self):
@@ -354,7 +354,7 @@ class TestRisPattern:
         sc = make_center_feed(4, 128, 80)
         T = build_T(sc)
         curve = ris_pattern(T, svd_modes(T).beam(0))
-        assert sidelobe_level(curve) < -50.0
+        assert sidelobe_level(curve.power_norm_db) < -50.0
 
     def test_rejects_all_zero_excitation(self):
         T, _ = end_feed_setup(8, 4.0)
@@ -397,35 +397,65 @@ class TestRealWeights:
         eps = np.finfo(float).eps
         for X in stacks:
             W = np.abs(X).T
-            real = patterns._patterns(W, None)
-            cplx = patterns._patterns(W.astype(complex), None)
+            _, real, _ = patterns._patterns(W, None)
+            _, cplx, _ = patterns._patterns(W.astype(complex), None)
             assert len(real) == len(cplx) == W.shape[1]
             for r, z in zip(real, cplx):
-                p_real = 10 ** (r.power_dbi / 10)
-                p_cplx = 10 ** (z.power_dbi / 10)
+                p_real = 10 ** (r / 10)
+                p_cplx = 10 ** (z / 10)
                 # the measured worst is 13.6 eps of the peak, at N_p = 512
                 assert np.max(np.abs(p_real - p_cplx)) <= \
                     24 * eps * p_cplx.max()
+
+
+class TestPatternRows:
+    """_patterns returns dB rows; curves are built only for the public
+    pattern functions."""
+
+    def test_normalized_rows_are_rows_less_their_max(self):
+        T, m = end_feed_setup(32, 16.0)
+        x = ris_excitation(T, m.beam(0))
+        for W in (np.column_stack([x, x[::-1], np.ones_like(x)]),
+                  np.column_stack([m.beam(0).weights,
+                                   feeder_beam(m, "nonpem").weights])):
+            _, dbi, norm = patterns._patterns(W, None)
+            assert np.array_equal(norm,
+                                  np.array([y - y.max() for y in dbi]))
+            assert np.all(norm.max(axis=1) == 0.0)
+
+    def test_min_sll_scan_builds_no_curves(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return PatternCurve(*args, **kwargs)
+        monkeypatch.setattr("risfeed.patterns.PatternCurve", counting)
+        # 80 f at 4 x 32: stacks of 64 and 16
+        f_values = [4.0 + 0.5 * i for i in range(80)]
+        _, trace = optimize_f(4, 32, "center", False, "pem", f_values)
+        assert len(trace) == 80 and built == []
+        amaf_pattern(BeamVector(np.ones(4, dtype=complex) / 2))
+        assert len(built) == 1
 
 
 class TestSidelobeLevel:
     def test_matches_brute_force_scan(self):
         T, m = end_feed_setup(32, 16.0)
         curve = ris_pattern(T, feeder_beam(m, "nonpem"))
-        got = sidelobe_level(curve)
+        got = sidelobe_level(curve.power_norm_db)
         ref = brute_force_sidelobe(curve.angles_deg, curve.power_dbi)
         assert got == pytest.approx(ref, abs=1e-12)
 
     def test_single_lobe_returns_none(self):
         b = BeamVector(np.array([1.0], dtype=complex))
         curve = amaf_pattern(b)
-        assert sidelobe_level(curve) is None
+        assert sidelobe_level(curve.power_norm_db) is None
 
     def test_two_element_cos_weighted_vs_dense_scan(self):
         w = np.array([np.cos(0.3), np.sin(0.3)], dtype=complex)
         coarse = amaf_pattern(BeamVector(w), default_grid(0.05))
         dense = amaf_pattern(BeamVector(w), default_grid(0.005))
-        got = sidelobe_level(coarse)
+        got = sidelobe_level(coarse.power_norm_db)
         ref = brute_force_sidelobe(dense.angles_deg, dense.power_dbi)
         if got is None:
             assert ref is None
@@ -442,22 +472,15 @@ class TestSidelobeLevel:
             else:
                 y = np.round(rng.standard_normal(n), 1)
             y -= y.max()
-            curve = PatternCurve(angles_deg=np.arange(n, dtype=float),
-                                 power_dbi=y, power_norm_db=y,
-                                 peak_angle_deg=0.0, peak_dbi=0.0)
-            got = sidelobe_level(curve)
-            ref = brute_force_sidelobe(curve.angles_deg, y)
+            got = sidelobe_level(y)
+            ref = brute_force_sidelobe(np.arange(n, dtype=float), y)
             assert got == ref, (y, got, ref)
             nones += got is None
         assert 0 < nones < 3000
 
     def test_requires_three_samples(self):
-        curve = PatternCurve(angles_deg=np.array([0.0, 1.0]),
-                             power_dbi=np.array([0.0, -1.0]),
-                             power_norm_db=np.array([0.0, -1.0]),
-                             peak_angle_deg=0.0, peak_dbi=0.0)
         with pytest.raises(ValueError):
-            sidelobe_level(curve)
+            sidelobe_level(np.array([0.0, -1.0]))
 
 
 class TestCsvOutput:

@@ -9,21 +9,11 @@ from risfeed.patterns import ris_pattern, sidelobe_level
 from risfeed.sweep import (OBJECTIVES, _CHUNK, run_grid, optimize_f,
                            analyze_point, _beam_for, _stacks)
 
-from oracles import feeder_beam
+from oracles import analyze_or_none, feeder_beam
 
 # feed styles analyze_point does not know: it builds only "end" (tilted
 # or not) and untilted "center"
 BAD_FEEDS = [("side", False), ("Center", False), ("center", True)]
-
-
-def analyze_or_none(n_a, n_p, f, feed, tilted):
-    """analyze_point, or None where the tilted feeder reaches the surface."""
-    try:
-        return analyze_point(n_a, n_p, f, feed, tilted)
-    except ValueError as exc:
-        if "reaches the surface" not in str(exc):
-            raise
-        return None
 
 
 class TestRunGrid:
@@ -259,7 +249,8 @@ def single_curve_sll(n_a, n_p, feed, tilted, beam, f):
     if point is None:
         return None
     _, T, modes, _ = point
-    return sidelobe_level(ris_pattern(T, feeder_beam(modes, beam)))
+    return sidelobe_level(
+        ris_pattern(T, feeder_beam(modes, beam)).power_norm_db)
 
 
 class TestBatchedMinSll:

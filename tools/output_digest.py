@@ -26,9 +26,10 @@ scans with a one-element feeder, a scan in stacks at the 2^20-entry
 cap, an angle grid whose cells hold exact ``%.6f`` ties, a 36,001-row
 surface pattern, a tilted 16-element scan over one full stack of 64 f,
 a tilted table out to f = 1e6, center-feed tables and a scan at odd N_p,
-tables on each side of LAPACK's QR threshold, and one whose entries
-LAPACK scales) and the benchmark ops at seeds 701 and 702, which come
-from ``bench/workloads.py`` (imported, never changed).
+tables on each side of LAPACK's QR threshold, one whose entries
+LAPACK scales, and a scan of one f) and the benchmark ops at seeds 701
+and 702, which come from ``bench/workloads.py`` (imported, never
+changed).
 """
 
 import hashlib
@@ -148,7 +149,10 @@ EDGE = [
     "table --na 64 --np 119,120 --f 8,40,120 --feed end --tilted",
     "table --na 64 --np 119,120 --f 8,40,120",
     # entries so small or large that LAPACK scales them: no R factor
-    "table --np 8,64 --f 1e-140,8,1e140"]
+    "table --np 8,64 --f 1e-140,8,1e140",
+    # a one-f min_sll scan: its product has one column, as a CLI
+    # pattern's does
+    "sweep-f --np 128 --feed center --beam pem --f-min 50 --f-max 50"]
 
 BENCH_SEEDS = (701, 702)
 BENCH_OPS = {"sweep_f": 4, "mode_table": 8, "report_files": 8}
