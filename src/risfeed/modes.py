@@ -55,10 +55,6 @@ class ModeAnalysis:
     right_vectors: np.ndarray
     left_vectors: np.ndarray
 
-    def beam(self, i=0) -> BeamVector:
-        """The i-th eigenmode as a feeder excitation (0 = principal)."""
-        return BeamVector(self.right_vectors[:, i].copy())
-
 
 @dataclass(frozen=True)
 class ModeMetrics:

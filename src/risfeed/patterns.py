@@ -27,13 +27,11 @@ def default_grid(step_deg=DEFAULT_GRID_STEP_DEG):
 
 @dataclass(frozen=True)
 class PatternCurve:
-    """Sampled power radiation pattern."""
+    """Sampled power radiation pattern: the three columns of its file."""
 
     angles_deg: np.ndarray
     power_dbi: np.ndarray
     power_norm_db: np.ndarray
-    peak_angle_deg: float
-    peak_dbi: float
 
 
 def steering_vector(n, theta):
@@ -113,12 +111,9 @@ def _patterns(W, angles_deg):
 
 
 def _curve(W, angles_deg):
-    """The pattern of the one weight column W, peak at its first argmax."""
+    """The pattern of the one weight column W."""
     angles_deg, (power_dbi,), (power_norm_db,) = _patterns(W, angles_deg)
-    k = int(np.argmax(power_dbi))
-    return PatternCurve(angles_deg, power_dbi, power_norm_db,
-                        peak_angle_deg=float(angles_deg[k]),
-                        peak_dbi=float(power_dbi[k]))
+    return PatternCurve(angles_deg, power_dbi, power_norm_db)
 
 
 def amaf_pattern(b: BeamVector, angles_deg=None) -> PatternCurve:

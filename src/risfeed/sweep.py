@@ -98,14 +98,23 @@ def _stacks(n_a, n_p, feed_style, tilted, f_values):
 def _score(objective, X):
     """The objective value of each surface excitation, a row of X; None
     where undefined. min_sll scores the peak-normalized dB rows of the
-    stack's surface patterns, from one steering-matrix product."""
+    stack's surface patterns, from one steering-matrix product. An
+    all-zero excitation (T underflows to zero at a tiny f) has a power,
+    0, but no profile variation or pattern."""
     if objective == "max_power":
         return [float(np.linalg.norm(x) ** 2) for x in X]
     mags = [np.abs(x) for x in X]
+    live = [i for i, m in enumerate(mags) if m.any()]
+    values = [None] * len(mags)
     if objective == "min_profile_variation":
-        return [float(np.std(m) / np.mean(m)) for m in mags]
-    _, _, power_norm_db = _patterns(np.column_stack(mags), None)
-    return list(map(sidelobe_level, power_norm_db))
+        for i in live:
+            values[i] = float(np.std(mags[i]) / np.mean(mags[i]))
+    elif live:
+        _, _, power_norm_db = _patterns(
+            np.column_stack([mags[i] for i in live]), None)
+        for i, row in zip(live, power_norm_db):
+            values[i] = sidelobe_level(row)
+    return values
 
 
 def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
@@ -114,8 +123,9 @@ def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
 
     Returns (best_f, trace) where trace is a list of (f, objective value)
     in scan order. Where the objective is undefined (a pattern without
-    sidelobes, or a tilted feeder reaching the surface) the value is
-    None and the point cannot win. Ties go to the smaller f.
+    sidelobes, an all-zero surface excitation, or a tilted feeder
+    reaching the surface) the value is None and the point cannot win.
+    Ties go to the smaller f.
     """
     f_values = sorted(f_values)
     if not f_values:

@@ -217,15 +217,17 @@ def test_criterion_6_pattern_anchors():
     b = feeder_beam(modes, "nonpem")
     curve = amaf_pattern(b)
     af_db = 10 * np.log10(abs(np.sum(b.weights.real)) ** 2)
-    check(failures, abs(curve.peak_dbi - 11.95) <= 0.05,
-          f"non-PEM peak {curve.peak_dbi:.4f} vs 11.95")
+    check(failures, abs(curve.power_dbi.max() - 11.95) <= 0.05,
+          f"non-PEM peak {curve.power_dbi.max():.4f} vs 11.95")
     check(failures, abs(af_db - 5.93) <= 0.05,
           f"array factor {af_db:.4f} vs 5.93")
     check(failures, abs(10 * np.log10(4) - 6.02) <= 0.05,
           "element factor vs 6.02")
-    pem_flat = amaf_pattern(modes.beam(0)).peak_angle_deg
+    flat = amaf_pattern(feeder_beam(modes, "pem"))
+    pem_flat = flat.angles_deg[flat.power_dbi.argmax()]
     sc_tilt = make_end_feed(4, 128, 110, tilted=True)
-    pem_tilt = amaf_pattern(svd_modes(build_T(sc_tilt)).beam(0)).peak_angle_deg
+    tilt = amaf_pattern(feeder_beam(svd_modes(build_T(sc_tilt)), "pem"))
+    pem_tilt = tilt.angles_deg[tilt.power_dbi.argmax()]
     # surface center lies on the positive-angle side of the feeder axis
     check(failures, pem_flat > 0,
           f"untilted PEM peak {pem_flat:.2f} not toward surface center")
@@ -307,12 +309,12 @@ def test_criterion_8_sidelobe_behavior():
     sc = make_center_feed(4, 128, 80)
     T = build_T(sc)
     center_sll = sidelobe_level(
-        ris_pattern(T, svd_modes(T).beam(0), grid).power_norm_db)
+        ris_pattern(T, feeder_beam(svd_modes(T), "pem"), grid).power_norm_db)
     for f in range(80, 141, 10):
         sc_e = make_end_feed(4, 128, float(f), tilted=True)
         T_e = build_T(sc_e)
         m_e = svd_modes(T_e)
-        for label, beam in (("pem", m_e.beam(0)),
+        for label, beam in (("pem", feeder_beam(m_e, "pem")),
                             ("nonpem", feeder_beam(m_e, "nonpem"))):
             end_sll = sidelobe_level(
                 ris_pattern(T_e, beam, grid).power_norm_db)

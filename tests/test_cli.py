@@ -348,6 +348,23 @@ class TestSweepF:
         assert [best for _, _, best in rows] == [
             "1" if i == first_min else "0" for i in range(20)]
 
+    @pytest.mark.parametrize("objective",
+                             ["min_sll", "min_profile_variation"])
+    def test_all_zero_excitation_is_an_undefined_row(self, objective,
+                                                     capsys, tmp_path):
+        # T underflows to zero at f = 1e-300: an all-zero surface
+        # excitation, which has no pattern and no profile variation
+        out = tmp_path / "trace.csv"
+        assert run_cli("sweep-f", "--np", "127", "--feed", "center",
+                       "--f-min", "1e-300", "--f-max", "120", "--f-step",
+                       "60", "--objective", objective,
+                       "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        _, alone = optimize_f(4, 127, "center", False, "nonpem", [60.0],
+                              objective)
+        assert out.read_text().splitlines()[1:] == [
+            "1e-300,,0", "60.0,%.9e,1" % alone[0][1]]
+
     def test_f_on_the_decimal_grid(self, tmp_path):
         # in floats, 5 + 7 * 0.7 is 9.899999999999999
         out = tmp_path / "trace.csv"

@@ -160,12 +160,13 @@ class TestSvdStack:
 class TestPowerTransfer:
     def test_pem_equals_sigma1_table_row_1(self):
         _, T, m = modes_for(4, 8, 4)
-        p = np.linalg.norm(T.apply(m.beam(0).weights)) ** 2
+        p = np.linalg.norm(T.apply(feeder_beam(m, "pem").weights)) ** 2
         assert 10 * np.log10(p) == pytest.approx(-7.32, abs=0.05)
 
     def test_mode_2_gives_sigma2_squared(self):
         _, T, m = modes_for(4, 16, 16)
-        p = np.linalg.norm(T.apply(m.beam(1).weights)) ** 2
+        b = BeamVector(m.right_vectors[:, 1])
+        p = np.linalg.norm(T.apply(b.weights)) ** 2
         assert p == pytest.approx(m.sigma[1]**2, rel=1e-10)
 
     def test_nonpem_below_pem_at_end_feed(self):

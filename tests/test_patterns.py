@@ -59,7 +59,7 @@ class TestSteeringReuse:
 
     def test_interleaved_calls_match_first_calls(self):
         T, m = end_feed_setup(32, 16.0)
-        b = m.beam(0)
+        b = feeder_beam(m, "pem")
         grid = default_grid(0.5)
         shifted = grid + 0.25    # same length, other angles
         first = {}
@@ -85,16 +85,14 @@ class TestSteeringReuse:
 
     def test_curve_owns_its_angles(self):
         T, m = end_feed_setup(32, 16.0)
-        b = m.beam(0)
+        b = feeder_beam(m, "pem")
         for pattern in (lambda g: amaf_pattern(b, g),
                         lambda g: ris_pattern(T, b, g)):
             grid = default_grid(1.0)
             curve = pattern(grid)
-            angles, peak = curve.angles_deg.copy(), curve.peak_angle_deg
+            angles = curve.angles_deg.copy()
             grid += 5.0      # in place, after the call
             assert np.array_equal(curve.angles_deg, angles)
-            k = int(np.argmax(curve.power_dbi))
-            assert curve.angles_deg[k] == peak
 
     def test_optimize_f_trace_matches_fresh_patterns(self):
         f_values = [100.0, 110.0, 120.0]
@@ -120,7 +118,7 @@ class TestSteeringReuse:
     @staticmethod
     def surface(n_p):
         T = build_T(make_center_feed(4, n_p, 80.0))
-        return T, svd_modes(T).beam(0)
+        return T, feeder_beam(svd_modes(T), "pem")
 
     def test_growing_memo_matches_cold_builds(self):
         grid = default_grid()
@@ -224,9 +222,9 @@ class TestAmafPattern:
     def test_uniform_broadside_peak(self):
         b = BeamVector(np.full(4, 0.5, dtype=complex))
         curve = amaf_pattern(b)
-        assert curve.peak_angle_deg == pytest.approx(0.0)
-        assert curve.peak_dbi == pytest.approx(10 * np.log10(4) + 6.0206,
-                                               abs=1e-3)
+        assert curve.angles_deg[curve.power_dbi.argmax()] == pytest.approx(0.0)
+        assert curve.power_dbi.max() == pytest.approx(
+            10 * np.log10(4) + 6.0206, abs=1e-3)
 
     def test_single_element_is_element_pattern(self):
         b = BeamVector(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
@@ -234,7 +232,7 @@ class TestAmafPattern:
         curve = amaf_pattern(b, grid)
         expected = 10 * np.log10(element_gain(np.radians(grid)))
         assert np.allclose(curve.power_dbi, expected, atol=1e-9)
-        assert curve.peak_dbi == pytest.approx(6.0206, abs=1e-3)
+        assert curve.power_dbi.max() == pytest.approx(6.0206, abs=1e-3)
 
     def test_nonpem_peak_split(self):
         # untilted end feed: array factor and element factor at broadside
@@ -242,9 +240,9 @@ class TestAmafPattern:
         b = feeder_beam(m, "nonpem")
         curve = amaf_pattern(b)
         af_db = 10 * np.log10(abs(np.sum(b.weights.real)) ** 2)
-        assert curve.peak_angle_deg == pytest.approx(0.0)
-        assert curve.peak_dbi == pytest.approx(af_db + 6.0206, abs=1e-6)
-        assert curve.peak_dbi == pytest.approx(11.95, abs=0.05)
+        assert curve.angles_deg[curve.power_dbi.argmax()] == pytest.approx(0.0)
+        assert curve.power_dbi.max() == pytest.approx(af_db + 6.0206, abs=1e-6)
+        assert curve.power_dbi.max() == pytest.approx(11.95, abs=0.05)
 
     def test_even_symmetry_for_real_weights(self):
         b = BeamVector(np.array([0.3, 0.5, 0.7, np.sqrt(1 - 0.83)],
@@ -264,10 +262,10 @@ class TestAmafPattern:
 
     def test_norm_and_peak_consistency(self):
         T, m = end_feed_setup()
-        curve = amaf_pattern(m.beam(0))
+        curve = amaf_pattern(feeder_beam(m, "pem"))
         assert np.max(curve.power_norm_db) == 0.0
         assert np.allclose(curve.power_dbi - curve.power_norm_db,
-                           curve.peak_dbi)
+                           curve.power_dbi.max())
 
     def test_rejects_empty_grid(self):
         b = BeamVector(np.array([1.0], dtype=complex))
@@ -277,19 +275,19 @@ class TestAmafPattern:
     def test_pem_untilted_points_toward_surface_center(self):
         # surface center sits on the positive-angle side of the feeder
         T, m = end_feed_setup(tilted=False)
-        curve = amaf_pattern(m.beam(0))
-        assert curve.peak_angle_deg > 5.0
+        curve = amaf_pattern(feeder_beam(m, "pem"))
+        assert curve.angles_deg[curve.power_dbi.argmax()] > 5.0
 
     def test_pem_tilted_steers_to_other_side(self):
         T, m = end_feed_setup(tilted=True)
-        curve = amaf_pattern(m.beam(0))
-        assert curve.peak_angle_deg < -2.0
+        curve = amaf_pattern(feeder_beam(m, "pem"))
+        assert curve.angles_deg[curve.power_dbi.argmax()] < -2.0
 
 
 class TestRisExcitation:
     def test_parseval(self):
         T, m = end_feed_setup(32, 16.0)
-        b = m.beam(0)
+        b = feeder_beam(m, "pem")
         mags = ris_excitation(T, b)
         assert np.sum(mags**2) == pytest.approx(
             np.linalg.norm(T.apply(b.weights)) ** 2, rel=1e-12)
@@ -297,20 +295,20 @@ class TestRisExcitation:
     def test_center_feed_palindromic(self):
         sc = make_center_feed(4, 16, 8)
         T = build_T(sc)
-        mags = ris_excitation(T, svd_modes(T).beam(0))
+        mags = ris_excitation(T, feeder_beam(svd_modes(T), "pem"))
         assert np.allclose(mags, mags[::-1], atol=1e-9)
 
     def test_nonpem_flatter_than_pem(self):
         T, m = end_feed_setup()
         cv = lambda x: np.std(x) / np.mean(x)
-        pem = ris_excitation(T, m.beam(0))
+        pem = ris_excitation(T, feeder_beam(m, "pem"))
         nonpem = ris_excitation(T, feeder_beam(m, "nonpem"))
         assert cv(nonpem) < cv(pem)
 
     def test_frozen_profile_shape(self):
         # regression: peak element indices for the f=110 end feed
         T, m = end_feed_setup()
-        pem = ris_excitation(T, m.beam(0))
+        pem = ris_excitation(T, feeder_beam(m, "pem"))
         nonpem = ris_excitation(T, feeder_beam(m, "nonpem"))
         assert int(np.argmax(pem)) + 1 == 36
         assert int(np.argmax(nonpem)) + 1 == 53
@@ -347,13 +345,15 @@ class TestRisPattern:
                 sc = make_end_feed(4, 32, 16, tilted=tilted)
             T = build_T(sc)
             m = svd_modes(T)
-            curve = ris_pattern(T, m.beam(0), np.linspace(-90, 90, 1801))
-            assert curve.peak_angle_deg == pytest.approx(0.0, abs=0.2)
+            curve = ris_pattern(T, feeder_beam(m, "pem"),
+                                np.linspace(-90, 90, 1801))
+            assert curve.angles_deg[curve.power_dbi.argmax()] == \
+                pytest.approx(0.0, abs=0.2)
 
     def test_center_feed_low_sidelobes(self):
         sc = make_center_feed(4, 128, 80)
         T = build_T(sc)
-        curve = ris_pattern(T, svd_modes(T).beam(0))
+        curve = ris_pattern(T, feeder_beam(svd_modes(T), "pem"))
         assert sidelobe_level(curve.power_norm_db) < -50.0
 
     def test_rejects_all_zero_excitation(self):
@@ -363,16 +363,16 @@ class TestRisPattern:
         with pytest.raises(ValueError, match="all-zero surface excitation"):
             ris_pattern(Tz, BeamVector(np.eye(4)[0].astype(complex)))
         # one all-zero column fails the whole batch
-        x = ris_excitation(T, svd_modes(T).beam(0))
+        x = ris_excitation(T, feeder_beam(svd_modes(T), "pem"))
         with pytest.raises(ValueError, match="all-zero surface excitation"):
             patterns._patterns(np.column_stack([x, np.zeros_like(x), x]),
                                None)
 
     def test_grid_refinement_stability(self):
         T, m = end_feed_setup(32, 16.0)
-        c1 = ris_pattern(T, m.beam(0), default_grid(0.05))
-        c2 = ris_pattern(T, m.beam(0), default_grid(0.025))
-        assert abs(c1.peak_dbi - c2.peak_dbi) < 0.01
+        c1 = ris_pattern(T, feeder_beam(m, "pem"), default_grid(0.05))
+        c2 = ris_pattern(T, feeder_beam(m, "pem"), default_grid(0.025))
+        assert abs(c1.power_dbi.max() - c2.power_dbi.max()) < 0.01
 
 
 class TestRealWeights:
@@ -414,9 +414,9 @@ class TestPatternRows:
 
     def test_normalized_rows_are_rows_less_their_max(self):
         T, m = end_feed_setup(32, 16.0)
-        x = ris_excitation(T, m.beam(0))
+        x = ris_excitation(T, feeder_beam(m, "pem"))
         for W in (np.column_stack([x, x[::-1], np.ones_like(x)]),
-                  np.column_stack([m.beam(0).weights,
+                  np.column_stack([feeder_beam(m, "pem").weights,
                                    feeder_beam(m, "nonpem").weights])):
             _, dbi, norm = patterns._patterns(W, None)
             assert np.array_equal(norm,
@@ -486,7 +486,7 @@ class TestSidelobeLevel:
 class TestCsvOutput:
     def test_pattern_csv(self, tmp_path):
         T, m = end_feed_setup(8, 4.0)
-        curve = amaf_pattern(m.beam(0), np.linspace(-90, 90, 19))
+        curve = amaf_pattern(feeder_beam(m, "pem"), np.linspace(-90, 90, 19))
         path = tmp_path / "p.csv"
         write_pattern_csv(curve, path)
         lines = path.read_text().strip().splitlines()
@@ -497,7 +497,7 @@ class TestCsvOutput:
 
     def test_profile_csv(self, tmp_path):
         T, m = end_feed_setup(8, 4.0)
-        mags = ris_excitation(T, m.beam(0))
+        mags = ris_excitation(T, feeder_beam(m, "pem"))
         path = tmp_path / "e.csv"
         write_profile_csv(mags, path)
         lines = path.read_text().strip().splitlines()

@@ -6,13 +6,13 @@ largest draw is a stack of 4 T at 1024 x 16, about 1 MB.
 """
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from risfeed.coupling import build_T
 from risfeed.geometry import make_center_feed
 from risfeed.sweep import _stacks
 
-from oracles import analyze_or_none
+from oracles import analyze_or_none, single_feeder_power
 
 FEEDS = [("center", False), ("end", False), ("end", True)]
 
@@ -61,3 +61,73 @@ def test_center_feed_T_is_its_own_mirror(n_a, n_p, f):
     T = build_T(make_center_feed(n_a, n_p, f)).entries
     assert np.array_equal(T, T[::-1, ::-1])
 
+
+
+# Each rounding bound below is the worst measured over 30,000 random
+# draws of this range (N_a 1 in four draws), in units of eps.
+EPS = np.finfo(float).eps
+
+
+def modes_at(n_a, n_p, feed, f):
+    """analyze_point's scenario, T entries and modes, where defined."""
+    point = analyze_or_none(n_a, n_p, f, *feed)
+    assume(point is not None)
+    scenario, T, modes, _ = point
+    return scenario, T.entries, modes
+
+
+@PROPERTY
+@given(n_as, n_ps, feeds, fs)
+@example(16, 1024, ("end", False), 1e4)
+@example(16, 1024, ("center", False), 0.1)
+def test_frobenius_identity(n_a, n_p, feed, f):
+    _, T, modes = modes_at(n_a, n_p, feed, f)
+    frobenius = np.linalg.norm(T) ** 2
+    # measured worst: 69.9 eps, at (8, 951, 1.49) end
+    assert abs(np.sum(modes.sigma ** 2) - frobenius) <= 70 * EPS * frobenius
+
+
+@PROPERTY
+@given(n_as, n_ps, feeds, fs)
+@example(16, 1024, ("end", True), 1e4)
+# a mirror tie: |v_1| peaks one ulp above its pivot's magnitude
+@example(16, 35, ("center", False), 424.03613505212957)
+def test_sigma_descending_and_v1_unit_with_real_pivot(n_a, n_p, feed, f):
+    _, _, modes = modes_at(n_a, n_p, feed, f)
+    assert np.all(np.diff(modes.sigma) <= 0) and modes.sigma[-1] >= 0
+    v1 = modes.right_vectors[:, 0]
+    # measured worst: 6 eps
+    assert abs(np.linalg.norm(v1) - 1.0) <= 6 * EPS
+    # the pivot, the largest-magnitude entry, is real and positive; where
+    # a center feed's mirror makes two magnitudes equal, the phase factor
+    # may leave the other one a last bit larger
+    magnitude = np.abs(v1)
+    pivot = magnitude[(v1.imag == 0) & (v1.real > 0)].max(initial=0.0)
+    assert magnitude.max() <= pivot + np.spacing(pivot)
+
+
+@PROPERTY
+@given(n_as, n_ps, feeds, fs, st.data())
+def test_variational_bound(n_a, n_p, feed, f, data):
+    _, T, modes = modes_at(n_a, n_p, feed, f)
+    power_1 = modes.sigma[0] ** 2
+    # measured worst: 43.4 eps, at (3, 754, 0.889) end
+    v1 = modes.right_vectors[:, 0]
+    assert abs(np.linalg.norm(T @ v1) ** 2 - power_1) <= 44 * EPS * power_1
+    b = np.array(data.draw(st.lists(
+        st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
+        min_size=n_a, max_size=n_a)))
+    b /= np.linalg.norm(b)
+    # measured worst: 10.3 eps, where N_a = 1 makes every b a v_1
+    assert np.linalg.norm(T @ b) ** 2 <= power_1 * (1 + 11 * EPS)
+
+
+@PROPERTY
+@given(n_ps, feeds, fs)
+@example(1024, ("end", True), 0.1)
+@example(1, ("center", False), 1e4)
+def test_single_feeder_power(n_p, feed, f):
+    scenario, _, modes = modes_at(1, n_p, feed, f)
+    exact = single_feeder_power(scenario)
+    # measured worst: 10.2 eps, at (1, 704, 0.158) center
+    assert abs(modes.sigma[0] ** 2 - exact) <= 11 * EPS * exact

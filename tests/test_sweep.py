@@ -231,6 +231,20 @@ class TestOptimizeF:
         vals = [v for _, v in trace[4:]]
         assert best == f_values[4 + vals.index(min(vals))]
 
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_all_zero_excitation(self, objective):
+        # T underflows to zero at f = 1e-300: the excitation's power is 0,
+        # its profile variation and pattern undefined, and the other rows
+        # keep the bits of a scan without it
+        f_values = [1e-300, 60.0, 61.0, 62.0]
+        best, trace = optimize_f(4, 127, "center", False, "pem", f_values,
+                                 objective)
+        rest_best, rest = optimize_f(4, 127, "center", False, "pem",
+                                     f_values[1:], objective)
+        zero = 0.0 if objective == "max_power" else None
+        assert trace == [(1e-300, zero)] + rest
+        assert best == rest_best
+
     def test_no_feasible_point_raises(self):
         with pytest.raises(RuntimeError, match="undefined at every grid"):
             optimize_f(16, 8, "end", True, "nonpem", [1.0, 2.0, 3.0])

@@ -41,8 +41,7 @@ def assert_same_bytes(tmp_path, write, reference, *args):
 def curve_of(values):
     values = np.asarray(values, dtype=float)
     return PatternCurve(angles_deg=values, power_dbi=values[::-1].copy(),
-                        power_norm_db=-values, peak_angle_deg=0.0,
-                        peak_dbi=0.0)
+                        power_norm_db=-values)
 
 
 def record(n_a, n_p, f, sigma_sq_db, *rest, feed="center"):
@@ -61,7 +60,8 @@ class TestPatternCsv:
                           curve_of(random_floats(20000, 1)))
 
     def test_finest_grid(self, tmp_path):
-        b = svd_modes(build_T(make_center_feed(4, 16, 8))).beam(0)
+        m = svd_modes(build_T(make_center_feed(4, 16, 8)))
+        b = oracles.feeder_beam(m, "pem")
         curve = amaf_pattern(b, default_grid(0.005))
         assert curve.angles_deg.size == 36001
         assert_same_bytes(tmp_path, write_pattern_csv,
@@ -69,14 +69,15 @@ class TestPatternCsv:
 
     def test_surface_pattern(self, tmp_path):
         T = build_T(make_center_feed(4, 128, 80))
-        curve = ris_pattern(T, svd_modes(T).beam(0))
+        curve = ris_pattern(T, oracles.feeder_beam(svd_modes(T), "pem"))
         assert_same_bytes(tmp_path, write_pattern_csv,
                           oracles.csv_write_pattern, curve)
 
     def test_tie_grid(self, tmp_path):
         """Angles k/128 - 90: 11,520 cells are exact %.6f ties, which
         round half to even."""
-        b = svd_modes(build_T(make_center_feed(4, 8, 8))).beam(0)
+        m = svd_modes(build_T(make_center_feed(4, 8, 8)))
+        b = oracles.feeder_beam(m, "pem")
         curve = amaf_pattern(b, default_grid(0.0078125))
         y = np.abs(curve.angles_deg) * 1e6
         assert np.count_nonzero(y - np.floor(y) == 0.5) == 11520
@@ -152,7 +153,7 @@ class TestProfileCsv:
 
     def test_computed_profile(self, tmp_path):
         T = build_T(make_center_feed(4, 1024, 40))
-        mags = ris_excitation(T, svd_modes(T).beam(0))
+        mags = ris_excitation(T, oracles.feeder_beam(svd_modes(T), "pem"))
         assert_same_bytes(tmp_path, write_profile_csv,
                           oracles.csv_write_profile, mags)
 

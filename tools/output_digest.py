@@ -27,9 +27,11 @@ cap, an angle grid whose cells hold exact ``%.6f`` ties, a 36,001-row
 surface pattern, a tilted 16-element scan over one full stack of 64 f,
 a tilted table out to f = 1e6, center-feed tables and a scan at odd N_p,
 tables on each side of LAPACK's QR threshold, one whose entries
-LAPACK scales, and a scan of one f) and the benchmark ops at seeds 701
-and 702, which come from ``bench/workloads.py`` (imported, never
-changed).
+LAPACK scales, a scan of one f, scans whose first f gives an all-zero
+surface excitation, and distances so small that the pattern, the
+report and the table overflow or underflow) and the benchmark ops at
+seeds 701 and 702, which come from ``bench/workloads.py`` (imported,
+never changed).
 """
 
 import hashlib
@@ -152,7 +154,16 @@ EDGE = [
     "table --np 8,64 --f 1e-140,8,1e140",
     # a one-f min_sll scan: its product has one column, as a CLI
     # pattern's does
-    "sweep-f --np 128 --feed center --beam pem --f-min 50 --f-max 50"]
+    "sweep-f --np 128 --feed center --beam pem --f-min 50 --f-max 50"] + [
+    # T underflows to zero at f = 1e-300: an all-zero surface excitation
+    f"sweep-f --np 127 --feed center --f-min 1e-300 --f-max 120 "
+    f"--f-step 60 --objective {objective}"
+    for objective in ("max_power", "min_sll", "min_profile_variation")] + [
+    # distances so small that sigma^2 and the pattern overflow, or that
+    # sigma and the isotropic loss's log10 argument underflow to zero
+    "pattern --array ris --na 1 --np 1 --f 1e-155",
+    "analyze --na 4 --np 8 --f 1e-300 --feed end",
+    "table --na 4 --np 8 --f 1e-300 --feed end"]
 
 BENCH_SEEDS = (701, 702)
 BENCH_OPS = {"sweep_f": 4, "mode_table": 8, "report_files": 8}
