@@ -10,7 +10,8 @@ from .geometry import (Scenario, _clears, _layout, make_center_feed,
 from .coupling import _T_stack, build_T
 from .modes import ModeMetrics, _svd_stack, mode_metrics, svd_modes
 # ris_pattern is not called here, but bench/selftest.py wraps this binding
-from .patterns import _patterns, ris_pattern, sidelobe_level  # noqa: F401
+from .patterns import (_patterns, default_grid, ris_pattern,  # noqa: F401
+                       sidelobe_level)
 
 OBJECTIVES = ("max_power", "min_sll", "min_profile_variation")
 # the most distances a scan analyzes in one stack: one T build, one SVD,
@@ -18,11 +19,12 @@ OBJECTIVES = ("max_power", "min_sll", "min_profile_variation")
 # steering-matrix product. A stack is narrower where it would hold more
 # than 2**20 T entries, as one T at the CLI caps does: one f at
 # 1024 x 1024. A scan holds one stack, never the whole scan: a min_sll
-# product on the default grid is 5.5 MB. Per column on that grid (2-core
-# Xeon, numpy 2.4.6, BLAS on one thread), one real product with its dB
-# curves costs 90-120 us at widths 16-128 against 480-500 us alone at
-# N_p = 128, and 0.42-0.44 ms at 64, 0.35-0.38 ms at 128 against
-# 4.5-5.1 ms alone at N_p = 1024
+# product on the broadside half of the default grid, 1801 angles, peaks
+# at 2.8 MB. Per column on that half (2-core Xeon, numpy 2.4.6, BLAS on
+# one thread), one real product with its dB rows and sidelobe walk
+# costs 50-90 us at widths 16-128 against 250-330 us alone at
+# N_p = 128, and 0.2-0.3 ms at 64, 0.18 ms at 128 against 2.5-3.0 ms
+# alone at N_p = 1024
 _CHUNK = 64
 
 
@@ -98,9 +100,12 @@ def _stacks(n_a, n_p, feed_style, tilted, f_values):
 def _score(objective, X):
     """The objective value of each surface excitation, a row of X; None
     where undefined. min_sll scores the peak-normalized dB rows of the
-    stack's surface patterns, from one steering-matrix product. An
-    all-zero excitation (T underflows to zero at a tiny f) has a power,
-    0, but no profile variation or pattern."""
+    stack's surface patterns, from one steering-matrix product over the
+    broadside half of the default grid: the grid is antisymmetric and the
+    weights real and nonnegative, so each pattern is even and peaks at
+    broadside, and the walk down one flank finds the full row's
+    sidelobe. An all-zero excitation (T underflows to zero at a tiny f)
+    has a power, 0, but no profile variation or pattern."""
     if objective == "max_power":
         return [float(np.linalg.norm(x) ** 2) for x in X]
     mags = [np.abs(x) for x in X]
@@ -110,8 +115,9 @@ def _score(objective, X):
         for i in live:
             values[i] = float(np.std(mags[i]) / np.mean(mags[i]))
     elif live:
+        grid = default_grid()
         _, _, power_norm_db = _patterns(
-            np.column_stack([mags[i] for i in live]), None)
+            np.column_stack([mags[i] for i in live]), grid[grid.size // 2:])
         for i, row in zip(live, power_norm_db):
             values[i] = sidelobe_level(row)
     return values

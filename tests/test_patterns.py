@@ -9,7 +9,8 @@ import pytest
 
 import risfeed
 from risfeed import patterns
-from risfeed.cli import main, write_pattern_csv, write_profile_csv
+from risfeed.cli import (_fixed6_rows, main, write_pattern_csv,
+                         write_profile_csv)
 from risfeed.geometry import make_center_feed, make_end_feed
 from risfeed.coupling import build_T, element_gain
 from risfeed.modes import BeamVector, svd_modes
@@ -51,6 +52,37 @@ class TestSteeringVector:
         assert np.array_equal(rows,
                               np.stack([steering_vector(16, t)
                                         for t in theta], axis=1))
+
+
+class TestDefaultGrid:
+    """The grid is linspace's, made exactly antisymmetric."""
+
+    def test_angle_strings_match_linspace(self):
+        # equal samples print equally, so only the samples the mirror
+        # moved are formatted, by the pattern file's own '%.6f'
+        # formatter; linspace's broadside may print -0.000000
+        for n in [*range(2, 3601), 36000]:
+            grid = default_grid(180.0 / n)
+            lin = np.linspace(-90.0, 90.0, n + 1)
+            assert grid.size == n + 1
+            moved = grid != lin
+            got, want = (_fixed6_rows(x[moved, None]).split()
+                         for x in (grid, lin))
+            assert got == [b"0.000000" if cell == b"-0.000000" else cell
+                           for cell in want], n
+
+    def test_cli_broadside_is_unsigned_zero(self, tmp_path):
+        # n = 78: linspace's broadside sample is -1.4e-14
+        assert "%.6f" % np.linspace(-90.0, 90.0, 79)[39] == "-0.000000"
+        out = tmp_path / "p.csv"
+        assert main(["pattern", "--na", "4", "--np", "8", "--f", "8",
+                     "--grid-step", "2.3077", "--out", str(out)]) == 0
+        angles = [line.split(",")[0]
+                  for line in out.read_text().splitlines()[1:]]
+        assert len(angles) == 79
+        assert angles[39] == "0.000000"
+        assert angles == ["%.6f" % -float(a) if a != "0.000000" else a
+                          for a in reversed(angles)]
 
 
 class TestSteeringReuse:

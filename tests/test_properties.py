@@ -1,8 +1,10 @@
 """Whole-range model properties, drawn with hypothesis over N_a 1-16,
-N_p 1-1024, f log-uniform over 0.1-1e4 and every feed.
+N_p 1-1024, f log-uniform over 0.1-1e4 and every feed, and over the
+angle grids the CLI accepts.
 
 Examples are derandomized, so every run checks the same scenarios. The
-largest draw is a stack of 4 T at 1024 x 16, about 1 MB.
+largest draw is a stack of 4 T at 1024 x 16, about 1 MB, or a steering
+matrix of 1024 elements on the default grid, 59 MB.
 """
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from risfeed.coupling import build_T
 from risfeed.geometry import make_center_feed
+from risfeed.patterns import _patterns, default_grid
 from risfeed.sweep import _stacks
 
 from oracles import analyze_or_none, single_feeder_power
@@ -131,3 +134,38 @@ def test_single_feeder_power(n_p, feed, f):
     exact = single_feeder_power(scenario)
     # measured worst: 10.2 eps, at (1, 704, 0.158) center
     assert abs(modes.sigma[0] ** 2 - exact) <= 11 * EPS * exact
+
+
+@PROPERTY
+@given(st.integers(2, 36000), st.floats(-0.49, 0.49))
+@example(2, 0.0)
+@example(78, 0.0)       # linspace's broadside is -1.4e-14 here
+@example(36000, 0.0)
+def test_default_grid_is_antisymmetric(n, shift):
+    grid = default_grid(180.0 / (n + shift))
+    assert grid.size == n + 1
+    assert grid[0] == -90.0 and grid[-1] == 90.0
+    assert np.array_equal(grid, -grid[::-1])
+    sin = np.sin(np.radians(grid))
+    assert np.array_equal(sin, -sin[::-1])
+
+
+@PROPERTY
+@given(n_ps, st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0))
+@example(1, 0, 0.0)
+@example(1024, 0, 0.0)
+@example(1024, 0, 0.99)
+def test_real_weight_pattern_is_even_and_peaks_at_broadside(n, seed, zeros):
+    # surface magnitudes over six decades, a drawn share of them zero
+    rng = np.random.default_rng(seed)
+    w = rng.random(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    w[rng.random(n) < zeros] = 0.0
+    assume(w.any())
+    grid = default_grid()
+    _, (row,), _ = _patterns(w[:, None], grid)
+    # BLAS may round the first and last field of a product differently,
+    # so the +/-90 degree samples, where the element gain is 4 cos^2 of
+    # 90 degrees (1.5e-32), mirror each other only to rounding
+    assert np.array_equal(row[1:-1], row[-2:0:-1])
+    assert abs(row[0] - row[-1]) <= 1e-12 * abs(row[0])
+    assert np.argmax(row) == grid.size // 2

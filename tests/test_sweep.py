@@ -1,11 +1,18 @@
 import filecmp
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import risfeed
 from risfeed.cli import write_table_csv, write_trace_csv
 from risfeed.geometry import Scenario
-from risfeed.patterns import ris_pattern, sidelobe_level
+from risfeed.patterns import (_patterns, default_grid, ris_pattern,
+                              sidelobe_level)
 from risfeed.sweep import (OBJECTIVES, _CHUNK, run_grid, optimize_f,
                            analyze_point, _beam_for, _stacks)
 
@@ -267,6 +274,39 @@ def single_curve_sll(n_a, n_p, feed, tilted, beam, f):
         ris_pattern(T, feeder_beam(modes, beam)).power_norm_db)
 
 
+def half_grid_mismatches():
+    """The scans whose min_sll values from optimize_f differ from
+    sidelobe_level of the full-grid _patterns rows of the same _stacks
+    weights: center, end and tilted-end feeds, both beams, N_a 1, 4 and
+    16 and N_p 1, 2, 127 and 1024, each over 8 f in one stack and over
+    one f, a one-column product."""
+    scans = list(itertools.product(
+        (1, 4, 16), (1, 2, 127, 1024),
+        [("center", False), ("end", False), ("end", True)],
+        ("pem", "nonpem"), ([2.0 * 1.8 ** i for i in range(8)], [60.0])))
+    # every half-grid scan first: the steering memo holds one grid
+    got = []
+    for n_a, n_p, (feed, tilted), beam, f_values in scans:
+        try:
+            _, trace = optimize_f(n_a, n_p, feed, tilted, beam, f_values)
+            got.append([val for _, val in trace])
+        except RuntimeError:     # no f has a sidelobe
+            got.append([None] * len(f_values))
+    grid = default_grid()
+    mismatches = []
+    for scan, values in zip(scans, got):
+        n_a, n_p, (feed, tilted), beam, f_values = scan
+        want = [None] * len(f_values)
+        for index, M, _, right in _stacks(n_a, n_p, feed, tilted, f_values):
+            X = np.matmul(M, _beam_for(right[:, :, 0], beam)[..., None])
+            _, _, rows = _patterns(np.abs(X[..., 0]).T, grid)
+            for i, row in zip(index, rows):
+                want[i] = sidelobe_level(row)
+        if values != want:
+            mismatches.append(scan)
+    return mismatches
+
+
 class TestBatchedMinSll:
     """min_sll scores a chunk of distances with one steering-matrix
     product, whose columns may differ from one-column products in the
@@ -297,6 +337,25 @@ class TestBatchedMinSll:
                 assert abs(val - want) <= 32 * eps * 10 ** (-want / 20), f
         defined = [(f, v) for f, v in ref if v is not None]
         assert best == min(defined, key=lambda row: row[1])[0]
+
+    def test_half_grid_equals_full_grid(self):
+        # min_sll scans the broadside half of the grid and must score
+        # what the full grid scores. BLAS runs on one thread, as the
+        # bench harness runs it: a threaded one-column product splits the
+        # half and the full grid at other angles and may round the
+        # broadside sample, and with it every normalized sample,
+        # differently
+        tests = Path(__file__).resolve().parent
+        src = str(Path(risfeed.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import test_sweep; print(test_sweep.half_grid_mismatches())"],
+            cwd=tests, env=env, check=True, capture_output=True, text=True)
+        assert child.stdout == "[]\n"
 
     def test_value_does_not_depend_on_chunk_boundaries(self):
         # starting at f = 20 moves 15 defined points from the second

@@ -27,7 +27,8 @@ cap, an angle grid whose cells hold exact ``%.6f`` ties, a 36,001-row
 surface pattern, a tilted 16-element scan over one full stack of 64 f,
 a tilted table out to f = 1e6, center-feed tables and a scan at odd N_p,
 tables on each side of LAPACK's QR threshold, one whose entries
-LAPACK scales, a scan of one f, scans whose first f gives an all-zero
+LAPACK scales, scans of one f, a 78-step grid whose broadside sample
+prints as ``0.000000``, scans whose first f gives an all-zero
 surface excitation, and distances so small that the pattern, the
 report and the table overflow or underflow) and the benchmark ops at
 seeds 701 and 702, which come from ``bench/workloads.py`` (imported,
@@ -154,7 +155,13 @@ EDGE = [
     "table --np 8,64 --f 1e-140,8,1e140",
     # a one-f min_sll scan: its product has one column, as a CLI
     # pattern's does
-    "sweep-f --np 128 --feed center --beam pem --f-min 50 --f-max 50"] + [
+    "sweep-f --np 128 --feed center --beam pem --f-min 50 --f-max 50",
+    # a one-f scan at 4 x 1024 whose printed sidelobe reads the last bits
+    # of its grid's angles, and a 78-step grid whose broadside sample
+    # must print as 0.000000, never -0.000000
+    "sweep-f --na 4 --np 1024 --feed center --beam pem --f-min 7 "
+    "--f-max 7 --f-step 1 --objective min_sll",
+    "pattern --na 4 --np 8 --f 8 --grid-step 2.3077"] + [
     # T underflows to zero at f = 1e-300: an all-zero surface excitation
     f"sweep-f --np 127 --feed center --f-min 1e-300 --f-max 120 "
     f"--f-step 60 --objective {objective}"
