@@ -56,8 +56,8 @@ def steering_vector(n, theta):
 # elements x 36001 angles); the cell's tuple is replaced whole, never
 # edited. The product with k weight columns peaks at 24 * k bytes per
 # angle (the complex field and the dB buffer it fills; the dB rows and
-# their peak-normalized copy hold 16 * k once it is freed): 2.8 MB for a
-# sweep-f stack of 64 on the 1801-angle broadside half of the default
+# their peak-normalized copy hold 16 * k once it is freed): 5.5 MB for a
+# sweep-f stack of 128 on the 1801-angle broadside half of the default
 # grid, whose steering matrix is 3.7 MB at 128 elements.
 _NO_ROWS = np.empty((0, 0), dtype=complex)
 _steering = [(np.empty(0), _NO_ROWS, np.empty(0))]
@@ -150,18 +150,26 @@ def sidelobe_level(power_norm_db):
     peak; the result is the largest local maximum outside it. Returns
     None when the curve has no sidelobe (monotone away from the peak).
     """
-    y = power_norm_db
-    n = y.size
+    return _sidelobe_levels(np.asarray(power_norm_db, dtype=float)[None])[0]
+
+
+def _sidelobe_levels(Y):
+    """sidelobe_level of each row of the 2-D stack Y, in one walk."""
+    n = Y.shape[1]
     if n < 3:
         raise ValueError("curve needs at least 3 samples")
-    k = int(np.argmax(y))
+    # 32-bit column indices: the index compares move half the bytes
+    j = np.arange(n, dtype=np.int32)
+    k = Y.argmax(axis=1).astype(np.int32)[:, None]
+    before = j[:-1] < k
     # the lobe runs down to the last j < k with y[j] > y[j+1] and up to
     # the first j >= k with y[j+1] > y[j]; ties (<=) stay in the lobe
-    stops = np.flatnonzero(~(y[:k] <= y[1:k + 1]))
-    lo = int(stops[-1]) + 1 if stops.size else 0
-    stops = np.flatnonzero(~(y[k + 1:] <= y[k:-1]))
-    hi = k + int(stops[0]) if stops.size else n - 1
-    outside = np.concatenate([y[:lo], y[hi + 1:]])
-    if outside.size == 0:
-        return None
-    return float(outside.max())
+    stops = ~(Y[:, :-1] <= Y[:, 1:]) & before
+    lo = np.where(stops.any(axis=1), n - 1 - stops[:, ::-1].argmax(axis=1), 0)
+    stops = ~(Y[:, 1:] <= Y[:, :-1]) & ~before
+    hi = np.where(stops.any(axis=1), stops.argmax(axis=1), n - 1)
+    outside = ((j < lo.astype(np.int32)[:, None])
+               | (j > hi.astype(np.int32)[:, None]))
+    peaks = np.max(Y, axis=1, where=outside, initial=-np.inf)
+    lobe_only = (lo == 0) & (hi == n - 1)
+    return [None if e else float(p) for p, e in zip(peaks, lobe_only)]

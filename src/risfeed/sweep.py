@@ -10,22 +10,22 @@ from .geometry import (Scenario, _clears, _layout, make_center_feed,
 from .coupling import _T_stack, build_T
 from .modes import ModeMetrics, _svd_stack, mode_metrics, svd_modes
 # ris_pattern is not called here, but bench/selftest.py wraps this binding
-from .patterns import (_patterns, default_grid, ris_pattern,  # noqa: F401
-                       sidelobe_level)
+from .patterns import (_patterns, _sidelobe_levels,  # noqa: F401
+                       default_grid, ris_pattern)
 
 OBJECTIVES = ("max_power", "min_sll", "min_profile_variation")
 # the most distances a scan analyzes in one stack: one T build, one SVD,
 # then table metrics or one excitation product and, for min_sll, one
-# steering-matrix product. A stack is narrower where it would hold more
-# than 2**20 T entries, as one T at the CLI caps does: one f at
-# 1024 x 1024. A scan holds one stack, never the whole scan: a min_sll
-# product on the broadside half of the default grid, 1801 angles, peaks
-# at 2.8 MB. Per column on that half (2-core Xeon, numpy 2.4.6, BLAS on
-# one thread), one real product with its dB rows and sidelobe walk
-# costs 50-90 us at widths 16-128 against 250-330 us alone at
-# N_p = 128, and 0.2-0.3 ms at 64, 0.18 ms at 128 against 2.5-3.0 ms
-# alone at N_p = 1024
-_CHUNK = 64
+# steering-matrix product and one sidelobe walk. A stack is narrower
+# where it would hold more than 2**20 T entries, as one T at the CLI
+# caps does: one f at 1024 x 1024. A scan holds one stack, never the
+# whole scan: a min_sll product on the broadside half of the default
+# grid, 1801 angles, peaks at 5.5 MB (3.5 MB at 81 f). Per column on
+# that half (2-core Xeon, numpy 2.4.6, BLAS on one thread), the product
+# with its dB rows and walk costs 45-65 us at widths 16-128 against
+# 320 us alone at N_p = 128, and 0.35 ms at 16, 0.2 ms at 64, 0.17 ms
+# at 128 against 1.7-1.9 ms alone at N_p = 1024
+_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -101,25 +101,24 @@ def _score(objective, X):
     """The objective value of each surface excitation, a row of X; None
     where undefined. min_sll scores the peak-normalized dB rows of the
     stack's surface patterns, from one steering-matrix product over the
-    broadside half of the default grid: the grid is antisymmetric and the
-    weights real and nonnegative, so each pattern is even and peaks at
-    broadside, and the walk down one flank finds the full row's
-    sidelobe. An all-zero excitation (T underflows to zero at a tiny f)
-    has a power, 0, but no profile variation or pattern."""
+    broadside half of the default grid, in one stacked walk: the grid is
+    antisymmetric and the weights real and nonnegative, so each pattern
+    is even and peaks at broadside, and the walk down one flank finds the
+    full row's sidelobe. An all-zero excitation (T underflows to zero at
+    a tiny f) has a power, 0, but no profile variation or pattern."""
     if objective == "max_power":
         return [float(np.linalg.norm(x) ** 2) for x in X]
-    mags = [np.abs(x) for x in X]
-    live = [i for i, m in enumerate(mags) if m.any()]
+    mags = np.abs(X)
+    live = np.flatnonzero(mags.any(axis=1))
     values = [None] * len(mags)
     if objective == "min_profile_variation":
         for i in live:
             values[i] = float(np.std(mags[i]) / np.mean(mags[i]))
-    elif live:
+    elif live.size:
         grid = default_grid()
-        _, _, power_norm_db = _patterns(
-            np.column_stack([mags[i] for i in live]), grid[grid.size // 2:])
-        for i, row in zip(live, power_norm_db):
-            values[i] = sidelobe_level(row)
+        _, _, power_norm_db = _patterns(mags[live].T, grid[grid.size // 2:])
+        for i, sll in zip(live, _sidelobe_levels(power_norm_db)):
+            values[i] = sll
     return values
 
 

@@ -145,11 +145,12 @@ def reference_T_stack(surface, surface_boresight, feeders,
     return entries
 
 
-def brute_force_sidelobe(angles_deg, power_db):
+def brute_force_sidelobe(angles_deg, power_db, relative=True):
     """Scan a sampled curve for its highest sidelobe relative to the peak.
 
     Walks outward from the global maximum to the flanking local minima,
-    then returns the largest sample beyond them; None for a single lobe.
+    then returns the largest sample beyond them, less the peak unless
+    relative is False; None for a single lobe.
     """
     y = np.asarray(power_db, dtype=float)
     k = int(np.argmax(y))
@@ -162,7 +163,7 @@ def brute_force_sidelobe(angles_deg, power_db):
     outside = np.concatenate([y[:lo], y[hi + 1:]])
     if outside.size == 0:
         return None
-    return float(outside.max() - y[k])
+    return float(outside.max() - (y[k] if relative else 0.0))
 
 
 def csv_write_pattern(curve, path):

@@ -462,10 +462,10 @@ class TestPatternRows:
             built.append(args)
             return PatternCurve(*args, **kwargs)
         monkeypatch.setattr("risfeed.patterns.PatternCurve", counting)
-        # 80 f at 4 x 32: stacks of 64 and 16
-        f_values = [4.0 + 0.5 * i for i in range(80)]
+        # 160 f at 4 x 32: stacks of 128 and 32
+        f_values = [4.0 + 0.5 * i for i in range(160)]
         _, trace = optimize_f(4, 32, "center", False, "pem", f_values)
-        assert len(trace) == 80 and built == []
+        assert len(trace) == 160 and built == []
         amaf_pattern(BeamVector(np.ones(4, dtype=complex) / 2))
         assert len(built) == 1
 
@@ -509,6 +509,9 @@ class TestSidelobeLevel:
             assert got == ref, (y, got, ref)
             nones += got is None
         assert 0 < nones < 3000
+
+    def test_integer_row(self):
+        assert sidelobe_level(np.array([0, -3, -1, -2])) == -1.0
 
     def test_requires_three_samples(self):
         with pytest.raises(ValueError):

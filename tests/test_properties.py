@@ -12,10 +12,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from risfeed.coupling import build_T
 from risfeed.geometry import make_center_feed
-from risfeed.patterns import _patterns, default_grid
+from risfeed.patterns import _patterns, _sidelobe_levels, default_grid
 from risfeed.sweep import _stacks
 
-from oracles import analyze_or_none, single_feeder_power
+from oracles import analyze_or_none, brute_force_sidelobe, single_feeder_power
 
 FEEDS = [("center", False), ("end", False), ("end", True)]
 
@@ -169,3 +169,36 @@ def test_real_weight_pattern_is_even_and_peaks_at_broadside(n, seed, zeros):
     assert np.array_equal(row[1:-1], row[-2:0:-1])
     assert abs(row[0] - row[-1]) <= 1e-12 * abs(row[0])
     assert np.argmax(row) == grid.size // 2
+
+
+def _db_rows(n):
+    """Rows of n samples on a 1 dB raster: ties and plateaus with peaks
+    anywhere, monotone rows, single lobes, and rows with NaN cells."""
+    cells = st.lists(st.integers(-4, 0).map(float), min_size=n, max_size=n)
+    return st.one_of(
+        cells,
+        cells.map(sorted),
+        cells.map(lambda c: sorted(c, reverse=True)),
+        cells.map(lambda c: sorted(c[:n // 2]) + sorted(c[n // 2:],
+                                                        reverse=True)),
+        cells.map(lambda c: [np.nan if x == -4.0 else x for x in c]))
+
+
+@PROPERTY
+@given(st.integers(3, 40).flatmap(
+    lambda n: st.lists(_db_rows(n), min_size=1, max_size=8)))
+@example([[0.0, -1.0, -2.0], [-2.0, -1.0, 0.0], [-1.0, 0.0, -1.0],
+          [0.0, -1.0, 0.0], [-1.0, -1.0, -1.0], [np.nan, -1.0, 0.0],
+          [0.0, np.nan, -1.0], [-1.0, 0.0, np.nan]])
+def test_stacked_sidelobe_walk_matches_brute_force(rows):
+    Y = np.array(rows)
+    levels = _sidelobe_levels(Y)
+    assert len(levels) == len(rows)
+    angles = np.arange(Y.shape[1], dtype=float)
+    for y, level in zip(Y, levels):
+        want = brute_force_sidelobe(angles, y, relative=False)
+        assert level is None or type(level) is float
+        np.testing.assert_equal(level, want)
+        steps = np.diff(y)
+        if (steps <= 0).all() or (steps >= 0).all():
+            assert level is None

@@ -56,8 +56,8 @@ class TestRunGrid:
         (4, [8, 32], [4.0, 8.0, 120.0], "end", True),
         # N_p < N_a: the SVD pads T with zero rows
         (16, [8], [8.0, 40.0], "center", False),
-        # stacks of 64 and 6 f
-        (4, [8], [1.0 + 0.5 * i for i in range(70)], "center", False),
+        # stacks of 128 and 12 f
+        (4, [8], [1.0 + 0.5 * i for i in range(140)], "center", False),
         # the feeder reaches the surface at f < 5
         (16, [8, 16], [float(f) for f in range(1, 11)], "end", True),
     ], ids=["center", "end", "end-tilted", "np8-padded", "two-stacks",
@@ -314,11 +314,11 @@ class TestBatchedMinSll:
 
     @pytest.mark.parametrize("beam", ["pem", "nonpem"])
     @pytest.mark.parametrize("n_a,n_p,feed,tilted,f_values", [
-        (4, 32, "center", False, [4.0 + 0.5 * i for i in range(80)]),
-        (4, 32, "end", False, [4.0 + 0.5 * i for i in range(80)]),
-        (4, 32, "end", True, [4.0 + 0.5 * i for i in range(80)]),
+        (4, 32, "center", False, [4.0 + 0.5 * i for i in range(160)]),
+        (4, 32, "end", False, [4.0 + 0.5 * i for i in range(160)]),
+        (4, 32, "end", True, [4.0 + 0.5 * i for i in range(160)]),
         # first four rows undefined: the feeder reaches the surface
-        (16, 8, "end", True, [float(f) for f in range(1, 81)]),
+        (16, 8, "end", True, [float(f) for f in range(1, 161)]),
     ], ids=["center", "end", "end-tilted", "end-tilted-undefined"])
     def test_values_match_single_curves(self, n_a, n_p, feed, tilted,
                                         f_values, beam):
@@ -358,12 +358,12 @@ class TestBatchedMinSll:
         assert child.stdout == "[]\n"
 
     def test_value_does_not_depend_on_chunk_boundaries(self):
-        # starting at f = 20 moves 15 defined points from the second
+        # starting at f = 60 moves 8 defined points from the second
         # chunk into the first, and gives every point other neighbours
         _, full = optimize_f(16, 8, "end", True, "nonpem",
-                             [float(f) for f in range(1, 101)])
+                             [float(f) for f in range(1, 141)])
         _, late = optimize_f(16, 8, "end", True, "nonpem",
-                             [float(f) for f in range(20, 103)])
+                             [float(f) for f in range(60, 190)])
         full, late = dict(full), dict(late)
         shared = [f for f in late if f in full]
         assert len(shared) == 81 and None not in late.values()
@@ -395,7 +395,7 @@ def stacked_scan(monkeypatch, n_a, n_p, feed, tilted, beam, f_values):
     return points, weights, excitations
 
 
-F80 = [4.0 + 0.5 * i for i in range(80)]
+F160 = [4.0 + 0.5 * i for i in range(160)]
 
 
 class TestStackedScan:
@@ -404,17 +404,17 @@ class TestStackedScan:
 
     @pytest.mark.parametrize("beam", ["pem", "nonpem"])
     @pytest.mark.parametrize("n_a,n_p,feed,tilted,f_values", [
-        (4, 32, "center", False, F80),
-        (4, 32, "end", False, F80),
-        (4, 32, "end", True, F80),
+        (4, 32, "center", False, F160),
+        (4, 32, "end", False, F160),
+        (4, 32, "end", True, F160),
         # first four rows undefined: the feeder reaches the surface
-        (16, 8, "end", True, [float(f) for f in range(1, 81)]),
-        (4, 1, "center", False, F80),
+        (16, 8, "end", True, [float(f) for f in range(1, 161)]),
+        (4, 1, "center", False, F160),
         # N_p < N_a: the SVD pads T with zero rows
         (4, 2, "center", False, [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]),
-        (3, 5, "end", True, F80),
-        # stacks of 52 f, narrower than _CHUNK, and a last one of 28
-        (20, 1000, "center", False, F80),
+        (3, 5, "end", True, F160),
+        # stacks of 52 f, narrower than _CHUNK, and a last one of 4
+        (20, 1000, "center", False, F160),
     ], ids=["center", "end", "end-tilted", "end-tilted-undefined", "np1",
             "np2-padded", "odd-sizes", "narrow-stacks"])
     def test_points_match_analyze_point(self, monkeypatch, n_a, n_p, feed,
@@ -440,9 +440,9 @@ class TestStackedScan:
 
     def test_scan_longer_than_one_stack(self, monkeypatch):
         points, weights, excitations = stacked_scan(
-            monkeypatch, 4, 32, "end", True, "nonpem", F80)
-        assert len(points) == len(weights) == len(excitations) == len(F80)
-        assert len(F80) > _CHUNK
+            monkeypatch, 4, 32, "end", True, "nonpem", F160)
+        assert len(points) == len(weights) == len(excitations) == len(F160)
+        assert len(F160) > _CHUNK
 
     def test_phase_rule_rounds_like_scalar_abs(self):
         # at (4, 2, 8) center the pivot of v_1 has magnitude
@@ -482,8 +482,8 @@ class TestBeamFor:
     @pytest.mark.parametrize("beam", ["pem", "nonpem"])
     @pytest.mark.parametrize("n_a", [1, 4, 16])
     def test_stack_matches_rows(self, n_a, beam):
-        # 100 f at N_p = 32: stacks of 64 and 36
-        f_values = [20.0 + 0.75 * i for i in range(100)]
+        # 160 f at N_p = 32: stacks of 128 and 32
+        f_values = [20.0 + 0.75 * i for i in range(160)]
         rows = 0
         for _, _, _, right in _stacks(n_a, 32, "end", True, f_values):
             v1 = right[:, :, 0]

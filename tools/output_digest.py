@@ -4,7 +4,8 @@
 
 Run from any directory; the package is imported from ``src/`` of the
 checkout that holds this script, and every command runs in this one
-process through ``risfeed.cli.main``. Each line reads
+process through ``risfeed.cli.main``, with BLAS on one thread (a
+threaded product may round a pattern differently). Each line reads
 ``<sha256>  <argv>``, ``exit <code>  <argv>`` for a command that
 writes no file, or ``raise <exception>  <argv>`` for one that raises out
 of ``main``. Two checkouts give the same outputs exactly when a
@@ -12,7 +13,7 @@ of ``main``. Two checkouts give the same outputs exactly when a
 
 The list holds the README commands, ``sweep-f`` for every objective and
 beam (on scans with undefined and with tied rows, and on one in stacks
-narrower than 64 f), edge cases (a fine and several coarse angle grids,
+narrower than 128 f), edge cases (a fine and several coarse angle grids,
 a 16-element feeder on an 8-element surface, a tilted table whose first
 point is undefined, a table of 70 distances, surface patterns up to 1024
 elements wide, a distance whose isotropic loss overflows, a scan on the
@@ -24,7 +25,8 @@ values, tilted end feeds over a one-element surface, with a one-element
 and an odd-sized feeder, and one whose feeder reaches the surface,
 scans with a one-element feeder, a scan in stacks at the 2^20-entry
 cap, an angle grid whose cells hold exact ``%.6f`` ties, a 36,001-row
-surface pattern, a tilted 16-element scan over one full stack of 64 f,
+surface pattern, a tilted 16-element scan of 64 f, scans of one full
+stack of 128 f and of 129 f, whose last stack has one column,
 a tilted table out to f = 1e6, center-feed tables and a scan at odd N_p,
 tables on each side of LAPACK's QR threshold, one whose entries
 LAPACK scales, scans of one f, a 78-step grid whose broadside sample
@@ -35,14 +37,19 @@ seeds 701 and 702, which come from ``bench/workloads.py`` (imported,
 never changed).
 """
 
-import hashlib
-import importlib.util
-import io
-import shlex
-import sys
-import tempfile
-from contextlib import redirect_stderr
-from pathlib import Path
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib  # noqa: E402
+import importlib.util  # noqa: E402
+import io  # noqa: E402
+import shlex  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from contextlib import redirect_stderr  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -61,7 +68,7 @@ README = [
 
 # scans per objective and beam: a 16-element tilted feeder whose first
 # four f reach the surface (undefined rows), once within one stack of
-# optimize_f's scan and once over three; surfaces of one and
+# optimize_f's scan and once over two; surfaces of one and
 # two elements, whose profile variation is 0 at every f (tied rows) and
 # whose patterns have no sidelobes; a plain end-feed scan; and 129 f
 # at 20 x 1000, which optimize_f analyzes in stacks of 52, 52 and 25
@@ -135,9 +142,15 @@ EDGE = [
     "pattern --array ris --na 16 --np 1024 --f 40 --grid-step 0.005",
     "pattern --array ris --na 4 --np 128 --f 110 --feed end --tilted "
     "--beam nonpem",
-    # the T kernel on tilted feeds: one full 64-f stack at N_a 16, and a
-    # table out to f = 1e6
+    # the T kernel on tilted feeds: a 64-f stack at N_a 16, and a table
+    # out to f = 1e6
     "sweep-f --na 16 --np 128 --feed end --tilted --f-min 20 --f-max 83 "
+    "--f-step 1 --beam nonpem --objective min_sll",
+    # one full stack of 128 f, and 129 f, whose last stack's product has
+    # one column and so goes to a GEMV
+    "sweep-f --np 128 --feed end --tilted --f-min 60 --f-max 187 "
+    "--f-step 1 --beam nonpem --objective min_sll",
+    "sweep-f --np 128 --feed end --tilted --f-min 60 --f-max 188 "
     "--f-step 1 --beam nonpem --objective min_sll",
     "table --na 16 --np 64 --f 40,1000,1e6 --feed end --tilted",
     # center feeds, whose T is computed for its first ceil(N_p/2) rows and
