@@ -10,9 +10,11 @@ with r in lambda/2 units, theta the departure angle from the feeder
 element boresight and phi the arrival angle from the surface element
 boresight.
 
-A layout that is its own mirror image about x = 0, as a center feed is,
-has T[n, m] = T[N_p-1-n, N_a-1-m] bit for bit, so only the first
-ceil(N_p/2) surface rows are computed and the rest are copied from them.
+On a flat layout, a center feed or an untilted end feed, T[n, m] depends
+on the offset n - m alone, bit for bit: each feeder's T is Toeplitz, so
+its N_p + N_a - 1 distinct entries are computed once and T is copied
+from them. Other layouts, and stacks too small to repay the check, compute
+every pair.
 """
 
 from dataclasses import dataclass
@@ -21,8 +23,11 @@ import numpy as np
 
 from .geometry import _layout
 
-_FLIP = np.array([-1.0, 1.0])     # reflection about x = 0
-
+# the fewest pairs the build per offset must save, F (N_p-1) (N_a-1), to
+# repay its _shift_invariant check: about 20 us, the cost of some 450
+# pairs (2-core Xeon, numpy 2.4.6); a single-f T at 4 x 96-160 is built
+# per pair, a 5-f stack at 4 x 64 per offset
+_MIN_SAVED = 512
 
 def element_gain(theta):
     """Patch-element power gain 4*max(cos(theta), 0)^2.
@@ -93,14 +98,53 @@ def _pair_geometry(surface, surface_boresight, feeders, feeder_boresights):
     return r, cos_theta, cos_phi
 
 
-def _mirrored(surface, surface_boresight, feeders, feeder_boresights):
-    """Whether the arrays _pair_geometry takes are their own mirror image
-    about x = 0: every boresight along z, the surface and each feeder
-    row equal to itself reversed and reflected, and N_p > 1."""
-    return (len(surface) > 1 and surface_boresight[0] == 0
+def _shift_invariant(surface, surface_boresight, feeders, feeder_boresights):
+    """Whether every pair's terms in _pair_geometry are, bit for bit, those
+    of any pair with its offset n - m, so each feeder's T is Toeplitz.
+
+    It holds where every boresight is (0, +-1), each array lies at one z
+    (each feeder at another z than the surface), and every x is a
+    multiple of 1/2 below 2**51 in magnitude, with one step between
+    neighbours along x throughout both arrays. Proof: sums and
+    differences of such x are multiples of 1/2 below 2**52, so exact. The
+    steps are then exact, so the surface x are x_0 + n*step and a
+    feeder's a_0 + m*step, and each pair's dx is x_0 - a_0 + (n - m)*step
+    with no rounding (up to the sign of a zero, which is squared or
+    multiplied into a zero). Its dz is one value per feeder, and not zero.
+    r rounds from dx and dz alone. Each cosine numerator is dx times a
+    zero x-component, a zero, plus dz times a z-component of +-1, exactly
+    +-dz: their sum is +-dz however BLAS orders or fuses it. Every flat
+    layout the geometry builds passes: a center feed, an untilted end
+    feed, and a tilted one over one surface element, whose tilt is zero.
+    """
+    x, z = surface[:, 0], surface[:, 1]
+    a, c = feeders[..., 0], feeders[..., 1]
+    if not (surface_boresight[0] == 0 and abs(surface_boresight[1]) == 1
             and not feeder_boresights[:, 0].any()
-            and (feeders[:, ::-1] * _FLIP == feeders).all()
-            and (surface[::-1] * _FLIP == surface).all())
+            and (np.abs(feeder_boresights[:, 1]) == 1).all()
+            and (z == z[0]).all() and (c == c[:, :1]).all()
+            and (c[:, 0] != z[0]).all()):
+        return False
+    twice = 2.0 * np.concatenate([x, a.ravel()])
+    steps = np.concatenate([x[1:] - x[:-1], (a[:, 1:] - a[:, :-1]).ravel()])
+    return bool((np.abs(twice) < 2.0 ** 52).all()
+                and (twice == np.rint(twice)).all()
+                and (steps == steps[:1]).all())
+
+
+def _offset_geometry(surface, surface_boresight, feeders, feeder_boresights):
+    """_pair_geometry's (r, cos_theta, cos_phi) for a _shift_invariant
+    layout, each (feeder, offset): column j holds offset n - m = j -
+    (N_a-1), from surface element 0 against feeder elements N_a-1 ... 1,
+    then each surface element against feeder element 0."""
+    dx = np.concatenate([surface[0, 0] - feeders[:, :0:-1, 0],
+                         surface[:, 0] - feeders[:, :1, 0]], axis=1)
+    dz = surface[0, 1] - feeders[:, :1, 1]
+    r = np.square(dx)
+    r += np.square(dz)
+    np.sqrt(r, out=r)
+    return (r, dz * feeder_boresights[:, 1:] / r,
+            dz * -surface_boresight[1] / r)
 
 
 def _T_stack(surface, surface_boresight, feeders, feeder_boresights, f):
@@ -109,37 +153,40 @@ def _T_stack(surface, surface_boresight, feeders, feeder_boresights, f):
     on the rest of the stack. A distance so large that r overflows
     raises a ValueError naming its f, in place of numpy warnings.
 
-    A _mirrored layout computes its first ceil(N_p/2) rows and copies the
-    rest, T[n, m] = T[N_p-1-n, N_a-1-m], with the bits of computing them:
-    a mirrored pair's differences are (-dx, dy) and (dx, dy), so r is
-    equal, and with boresights along z each cosine numerator is dy times
-    the boresight's z plus a zero, however BLAS fuses it; a zero
-    numerator's sign is dropped by cos+.
+    A _shift_invariant layout computes its N_p + N_a - 1 offsets' entries
+    once, from _offset_geometry, and copies T[n, m] from offset n - m,
+    with the bits of computing each pair, where that saves _MIN_SAVED
+    pairs or more.
     """
-    n_p = len(surface)
-    rows = (n_p + 1) // 2 if _mirrored(
-        surface, surface_boresight, feeders, feeder_boresights) else n_p
+    (n_f, n_a, _), n_p = feeders.shape, len(surface)
+    arrays = surface, surface_boresight, feeders, feeder_boresights
     with np.errstate(all="ignore"):
-        r, amp, cos_phi = _pair_geometry(
-            surface[:rows], surface_boresight, feeders, feeder_boresights)
+        geometry = (_offset_geometry
+                    if n_f * (n_p - 1) * (n_a - 1) >= _MIN_SAVED
+                    and _shift_invariant(*arrays) else _pair_geometry)
+        r, amp, cos_phi = geometry(*arrays)
+        if not r.all():     # the build per pair names the coincident pair
+            _pair_geometry(*arrays)
         # sqrt(E(theta) * E(phi)) / (2 pi r) with E = 4*cos+^2, in place
         np.maximum(amp, 0.0, out=amp)
         amp *= 4.0
         amp *= np.maximum(cos_phi, 0.0, out=cos_phi)
         amp /= np.multiply(r, 2.0 * np.pi, out=cos_phi)
         del cos_phi
-        entries = np.empty((len(r), n_p, r.shape[2]), complex)
-        top = entries[:, :rows]
-        np.multiply(r, 1j * np.pi, out=top)
-        np.exp(top, out=top)
-        top *= amp
-        del r, amp      # free before the mirror copy, which takes a temporary
-    if not np.isfinite(top).all():
-        k = np.argmin(np.isfinite(top).all(axis=(1, 2)))
+        entries = np.multiply(r, 1j * np.pi)
+        np.exp(entries, out=entries)
+        entries *= amp
+        del r, amp      # free before the copy out of the offsets' entries
+    if not np.isfinite(entries).all():
+        k = np.argmin(np.isfinite(entries).reshape(n_f, -1).all(axis=1))
         raise ValueError("propagation matrix is not finite at "
                          f"f={float(f[k])!r}")
-    entries[:, rows:] = entries[:, :n_p - rows][:, ::-1, ::-1]
-    return entries
+    if entries.ndim == 3:
+        return entries
+    # T[k, n, m] is entries[k, n - m + N_a - 1]
+    step = entries.strides[1]
+    return np.ndarray((n_f, n_p, n_a), complex, entries, (n_a - 1) * step,
+                      (entries.strides[0], step, -step)).copy()
 
 
 def build_T(scenario):

@@ -105,16 +105,24 @@ def _score(objective, X):
     antisymmetric and the weights real and nonnegative, so each pattern
     is even and peaks at broadside, and the walk down one flank finds the
     full row's sidelobe. An all-zero excitation (T underflows to zero at
-    a tiny f) has a power, 0, but no profile variation or pattern."""
+    a tiny f) has a power, 0, but no profile variation or pattern.
+    Profile variation takes each row scaled by the power of two of its
+    peak, which is exact, so the squares in std cannot underflow at a
+    tiny f; a row whose peak is subnormal has too few digits and no
+    profile variation."""
     if objective == "max_power":
         return [float(np.linalg.norm(x) ** 2) for x in X]
     mags = np.abs(X)
-    live = np.flatnonzero(mags.any(axis=1))
+    peak = mags.max(axis=1)
     values = [None] * len(mags)
     if objective == "min_profile_variation":
-        for i in live:
-            values[i] = float(np.std(mags[i]) / np.mean(mags[i]))
-    elif live.size:
+        _, exponent = np.frexp(peak)
+        for i in np.flatnonzero(peak >= np.finfo(float).tiny):
+            row = np.ldexp(mags[i], -exponent[i])
+            values[i] = float(np.std(row) / np.mean(row))
+        return values
+    live = np.flatnonzero(peak)
+    if live.size:
         grid = default_grid()
         _, _, power_norm_db = _patterns(mags[live].T, grid[grid.size // 2:])
         for i, sll in zip(live, _sidelobe_levels(power_norm_db)):

@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from risfeed import coupling
 from risfeed.geometry import (Scenario, _layout, make_center_feed,
                               make_end_feed)
-from risfeed.coupling import (PropagationMatrix, element_gain, _mirrored,
-                              _pair_geometry, _T_stack, build_T)
+from risfeed.coupling import (PropagationMatrix, element_gain,
+                              _pair_geometry, _shift_invariant, _T_stack,
+                              build_T)
 from risfeed.modes import svd_modes
 from risfeed.sweep import _stacks
 
@@ -163,23 +165,30 @@ class TestBuildT:
 
 def assert_same_bits(arrays, f):
     """_T_stack and the former kernel give the same bytes, signs of zero
-    and NaN payloads included, or raise the same ValueError."""
-    try:
-        expected = reference_T_stack(*arrays, f)
-    except ValueError as error:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
-            _T_stack(*arrays, f)
-        return
-    entries = _T_stack(*arrays, f)
-    assert entries.dtype == expected.dtype
-    assert np.array_equal(entries, expected)
-    assert entries.tobytes() == expected.tobytes()
+    and NaN payloads included, or raise the same ValueError, whether a
+    flat layout is built per offset at any size or only where that saves
+    coupling._MIN_SAVED pairs."""
+    with pytest.MonkeyPatch.context() as patch:
+        for min_saved in (coupling._MIN_SAVED, 0):
+            patch.setattr(coupling, "_MIN_SAVED", min_saved)
+            try:
+                expected = reference_T_stack(*arrays, f)
+            except ValueError as error:
+                with pytest.raises(ValueError,
+                                   match=f"^{re.escape(str(error))}$"):
+                    _T_stack(*arrays, f)
+                continue
+            entries = _T_stack(*arrays, f)
+            assert entries.dtype == expected.dtype
+            assert np.array_equal(entries, expected)
+            assert entries.tobytes() == expected.tobytes()
 
 
 class TestLeanKernel:
     """The in-place _T_stack against reference_T_stack, the former
     out-of-place kernel. Tilted feeds are the cases where the order of the
-    fused multiply-add in the cosine numerators shows."""
+    fused multiply-add in the cosine numerators shows; center and untilted
+    end feeds are checked built per pair and per offset n - m."""
 
     F = np.array([0.7, 1.0, 2.5, 8.0, 37.3, 120.0, 1e3, 12345.678, 1e6,
                   1e7])
@@ -189,7 +198,7 @@ class TestLeanKernel:
                                               ("end", True)])
     @pytest.mark.parametrize("n_a", [1, 3, 4, 16])
     def test_bits_match_former_kernel(self, feed, tilted, n_a):
-        # odd N_p: a mirrored center feed computes its middle row itself
+        # N_p + N_a - 1 offsets on flat feeds, from 1 to 1039
         for n_p in (1, 2, 3, 7, 8, 127, 128, 1023, 1024):
             assert_same_bits(_layout(n_a, n_p, self.F, feed, tilted), self.F)
             # one distance at a time: a stack of one feeder
@@ -205,15 +214,36 @@ class TestLeanKernel:
         assert_same_bits((feeders[0], boresights[0], surface[None],
                           up[None]), [16.0])
 
-    def test_only_untilted_center_feeds_are_mirrored(self):
+    def test_only_flat_feeds_are_shift_invariant(self):
         for n_p in (2, 3, 8):
-            assert _mirrored(*_layout(4, n_p, self.F, "center", False))
-            assert not _mirrored(*_layout(4, n_p, self.F, "end", False))
-            assert not _mirrored(*_layout(4, n_p, self.F, "end", True))
-        assert not _mirrored(*_layout(4, 1, self.F, "center", False))
+            assert _shift_invariant(*_layout(4, n_p, self.F, "center", False))
+            assert _shift_invariant(*_layout(4, n_p, self.F, "end", False))
+            assert not _shift_invariant(*_layout(4, n_p, self.F, "end", True))
+        # over one surface element the tilt is zero: a flat feeder
+        assert _shift_invariant(*_layout(4, 1, self.F, "center", False))
+        assert _shift_invariant(*_layout(4, 1, self.F, "end", True))
+
+    def test_flat_stacks_build_per_offset_where_it_saves_pairs(
+            self, monkeypatch):
+        built, offset_geometry = [], coupling._offset_geometry
+
+        def spy(*arrays):
+            built.append(arrays[2].shape)
+            return offset_geometry(*arrays)
+
+        monkeypatch.setattr(coupling, "_offset_geometry", spy)
+        # F (N_p-1) (N_a-1) saved pairs: 381, 0 and 2286; tilted, none
+        for n_a, n_p, f, tilted in [(4, 128, self.F[:1], False),
+                                    (1, 1024, self.F, False),
+                                    (4, 128, self.F[:6], False),
+                                    (4, 128, self.F[:6], True)]:
+            _T_stack(*_layout(n_a, n_p, f, "end", tilted), f)
+        assert built == [(6, 4, 2)]
 
     @pytest.mark.parametrize("n_s, n_f", [(8, 4), (7, 3), (3, 7), (2, 1)])
     def test_bits_match_on_hand_built_mirrored_layouts(self, n_s, n_f):
+        # lines centered on x = 0: the first two layouts are their own
+        # mirror images
         surface, up = line(n_s, 0, (0, 1))
         feeder, down = line(n_f, 8, (0, -1))
         layouts = [
@@ -221,24 +251,29 @@ class TestLeanKernel:
             (feeder, down, surface[None], up[None]),
             # back to back: every entry is zero
             (surface, down, feeder[None], up[None]),
-            # a feeder level with the surface, one element beyond each
-            # end: zero cosine numerators, whose sign cos+ drops
-            (surface, up, np.array([[[-1.0, 0.0], [1.0, 0.0]]]) * (n_s + 1),
-             down[None])]
+            # a feeder shifted half a unit along x
+            (surface, up, feeder[None] + [0.5, 0.0], down[None])]
         for arrays in layouts:
-            assert _mirrored(*arrays) == (len(arrays[0]) > 1)
+            assert _shift_invariant(*arrays)
             assert_same_bits(arrays, [8.0])
         # a stack of two feeders, the second so far that r overflows
         f = np.array([8.0, 1e308])
         swapped = np.stack([surface, surface + [0.0, 1e308 - 8.0]])
-        assert_same_bits((feeder, down, swapped, np.stack([up, up])), f)
-        # a feeder shifted off the axis, or either boresight turned off z,
-        # breaks the mirror
+        arrays = (feeder, down, swapped, np.stack([up, up]))
+        assert _shift_invariant(*arrays)
+        assert_same_bits(arrays, f)
+        # a feeder level with the surface, one element beyond each end
+        # (zero cosine numerators, whose sign cos+ drops), a feeder shifted
+        # off the half-unit lattice, or either boresight turned off z takes
+        # the general build
         tilt = np.array([0.6, -0.8])
-        for arrays in [(surface, up, feeder[None] + [0.25, 0.0], down[None]),
+        for arrays in [(surface, up,
+                        np.array([[[-1.0, 0.0], [1.0, 0.0]]]) * (n_s + 1),
+                        down[None]),
+                       (surface, up, feeder[None] + [0.25, 0.0], down[None]),
                        (surface, up, feeder[None], tilt[None]),
                        (surface, -tilt, feeder[None], down[None])]:
-            assert not _mirrored(*arrays)
+            assert not _shift_invariant(*arrays)
             assert_same_bits(arrays, [8.0])
 
     def test_bits_match_back_to_back(self):
@@ -250,15 +285,23 @@ class TestLeanKernel:
         feeder, down = line(1, 0, (0, -1))
         surface, up = line(3, 0, (0, 1))
         assert_same_bits((surface, up, feeder[None], down[None]), [1.0])
+        # a flat feeder so low that r underflows to zero: the build per
+        # pair names the pair
+        arrays = (surface, up, feeder[None] + [0.0, 1e-200], down[None])
+        assert _shift_invariant(*arrays)
+        with pytest.raises(ValueError,
+                           match="^coincident elements: surface 1, feeder 0$"):
+            _T_stack(*arrays, [1e-200])
+        assert_same_bits(arrays, [1e-200])
         f = np.array([8.0, 1e308])
         assert_same_bits(_layout(4, 8, f, "center", False), f)
 
     def test_traced_peak_at_widest_table_stack(self):
         # 5 f at N_a 16 x N_p 1024, mode_table's widest stack: the result
-        # is 1.31 MB; the former kernel peaked at 5,243,920 B, and before
-        # the mirror copy this one at 3,286,870 B. Measured 2,100,622 B:
-        # the result with either r and amp of its first half or the mirror
-        # copy's temporary, each 8 B per entry.
+        # is 1.31 MB; the former kernel peaked at 5,243,920 B, the build
+        # per pair at 3,286,870 B and with a mirror copy at 2,100,622 B.
+        # Measured 1,395,316 B: the result and its 5 x 1039 offsets'
+        # entries, from which it is copied.
         f = np.array([4.0, 8.0, 16.0, 40.0, 120.0])
         arrays = _layout(16, 1024, f, "center", False)
         tracemalloc.start()
@@ -268,4 +311,4 @@ class TestLeanKernel:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 2_101_000
+        assert peak <= 1_396_000

@@ -5,19 +5,27 @@ angle grids the CLI accepts.
 Examples are derandomized, so every run checks the same scenarios. The
 largest draw is a stack of 4 T at 1024 x 16, about 1 MB, or a steering
 matrix of 1024 elements on the default grid, 59 MB.
+
+The T kernel is drawn on flat layouts, which it may build per offset,
+and on tilted, unevenly spaced and off-lattice ones, which it builds
+per pair; both give the reference kernel's bytes.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from risfeed.coupling import build_T
-from risfeed.geometry import make_center_feed
+from risfeed import coupling
+from risfeed.coupling import _shift_invariant, _T_stack, build_T
+from risfeed.geometry import _layout, make_center_feed
 from risfeed.patterns import _patterns, _sidelobe_levels, default_grid
 from risfeed.sweep import _stacks
 
-from oracles import analyze_or_none, brute_force_sidelobe, single_feeder_power
+from oracles import (analyze_or_none, brute_force_sidelobe, reference_T_stack,
+                     single_feeder_power)
 
-FEEDS = [("center", False), ("end", False), ("end", True)]
+FLAT = [("center", False), ("end", False)]
+FEEDS = FLAT + [("end", True)]
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=200)
@@ -26,10 +34,14 @@ n_as = st.integers(1, 16)
 n_ps = st.integers(1, 1024)
 fs = st.floats(-1.0, 4.0).map(lambda e: 10.0 ** e)
 feeds = st.sampled_from(FEEDS)
+f_lists = st.lists(fs, min_size=1, max_size=4, unique=True)
+# positions on the half-unit lattice, out to about +/-1e6
+half_units = st.integers(-2 ** 21, 2 ** 21).map(lambda k: k / 2.0)
+UP, DOWN = np.array([0.0, 1.0]), np.array([0.0, -1.0])
 
 
 @PROPERTY
-@given(n_as, n_ps, feeds, st.lists(fs, min_size=1, max_size=4, unique=True))
+@given(n_as, n_ps, feeds, f_lists)
 # the corners of the range; a 16-element tilted feeder at f = 0.1
 # reaches the surface
 @example(16, 1024, ("end", True), [0.1, 1e4])
@@ -64,6 +76,107 @@ def test_center_feed_T_is_its_own_mirror(n_a, n_p, f):
     T = build_T(make_center_feed(n_a, n_p, f)).entries
     assert np.array_equal(T, T[::-1, ::-1])
 
+
+def assert_reference_bytes(arrays, f):
+    """_T_stack gives reference_T_stack's bytes, signs of zero included,
+    whether a flat layout is built per offset at any size or only where
+    that saves coupling._MIN_SAVED pairs."""
+    expected = reference_T_stack(*arrays, f).tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        for min_saved in (coupling._MIN_SAVED, 0):
+            patch.setattr(coupling, "_MIN_SAVED", min_saved)
+            assert _T_stack(*arrays, f).tobytes() == expected
+
+
+def flat_lines(n_a, n_p, x_feeder, x_surface, step, f_values, swapped):
+    """A feeder line at each height of f_values over a surface line at
+    z = 0, facing each other, element k of each at its x plus k*step;
+    the feeder lines as the surface and the surface as the feeder where
+    swapped."""
+    surface = np.column_stack([x_surface + step * np.arange(n_p),
+                               np.zeros(n_p)])
+    feeders = np.stack([np.column_stack([x_feeder + step * np.arange(n_a),
+                                         np.full(n_a, f)])
+                        for f in f_values])
+    if swapped:
+        return feeders[0], DOWN, surface[None], UP[None]
+    return surface, UP, feeders, np.tile(DOWN, (len(f_values), 1))
+
+
+@PROPERTY
+@given(n_as, n_ps, st.sampled_from(FLAT), f_lists)
+@example(16, 1024, ("end", False), [0.1, 1e4])
+@example(16, 1024, ("center", False), [0.1, 1e4])
+@example(1, 1, ("center", False), [0.1])
+@example(16, 1, ("end", False), [1e4])
+def test_flat_feeds_build_T_per_offset(n_a, n_p, feed, f_values):
+    f = np.array(f_values)
+    arrays = _layout(n_a, n_p, f, *feed)
+    assert _shift_invariant(*arrays)
+    assert_reference_bytes(arrays, f)
+
+
+@PROPERTY
+@given(n_as, n_ps, half_units, half_units,
+       st.sampled_from([0.5, 1.0, -1.0, 2.0]), f_lists, st.booleans())
+@example(16, 1024, -1048576.0, 1048576.0, 1.0, [0.1], False)
+@example(16, 1024, 0.5, 0.0, -1.0, [1e4], True)
+def test_hand_built_flat_lines_build_T_per_offset(n_a, n_p, x_feeder,
+                                                 x_surface, step, f_values,
+                                                 swapped):
+    arrays = flat_lines(n_a, n_p, x_feeder, x_surface, step, f_values,
+                        swapped)
+    f = f_values[:1] if swapped else f_values
+    assert _shift_invariant(*arrays)
+    assert_reference_bytes(arrays, f)
+
+
+@PROPERTY
+@given(n_as, st.integers(3, 1024), fs, st.integers(0, 1023),
+       st.floats(0.01, 0.49), st.booleans(),
+       st.sampled_from(["tilted", "uneven", "off-lattice"]))
+@example(16, 1024, 1e4, 0, 0.25, False, "off-lattice")
+@example(1, 3, 0.1, 2, 0.01, True, "uneven")
+def test_other_layouts_build_T_per_pair(n_a, n_p, f, moved, shift, swapped,
+                                        kind):
+    if kind == "tilted":
+        arrays = _layout(n_a, n_p, np.array([f]), "end", True)
+        assume(arrays[2][0, :, 1].min() > 0)    # clear of the surface
+        if swapped:
+            surface, up, feeders, boresights = arrays
+            arrays = feeders[0], boresights[0], surface[None], up[None]
+    else:
+        arrays = flat_lines(n_a, n_p, -(n_a - 1) / 2.0, -(n_p - 1) / 2.0,
+                            1.0, [f], swapped)
+        if kind == "uneven":    # one surface element half a unit along x
+            (arrays[2][0] if swapped else arrays[0])[moved % n_p, 0] += 0.5
+        else:                   # the feeder off the half-unit lattice
+            (arrays[0] if swapped else arrays[2][0])[:, 0] += shift
+    assert not _shift_invariant(*arrays)
+    assert_reference_bytes(arrays, [f])
+
+
+@PROPERTY
+@given(n_as, n_ps, feeds, fs)
+@example(16, 1024, ("end", True), 1e4)
+@example(16, 1, ("end", True), 0.1)
+@example(16, 8, ("center", False), 8.0)
+def test_reciprocity_under_role_swap(n_a, n_p, feed, f):
+    point = analyze_or_none(n_a, n_p, f, *feed)
+    assume(point is not None)
+    _, T, modes, _ = point
+    surface, up, feeders, boresights = _layout(n_a, n_p, np.array([f]),
+                                               *feed)
+    # the feeder as the surface and the surface as the feeder; a flat
+    # layout, or a tilted one over one surface element (no tilt), swapped
+    # is flat too
+    swapped = feeders[0], boresights[0], surface[None], up[None]
+    assert _shift_invariant(*swapped) == (feed in FLAT or n_p == 1)
+    T_swap = _T_stack(*swapped, [f])[0]
+    assert np.allclose(T_swap, T.entries.T, atol=1e-15)
+    # the swapped link's own sigma, min(N_a, N_p) of them
+    s2 = np.linalg.svd(T_swap, compute_uv=False)
+    assert np.allclose(modes.sigma[:len(s2)], s2, rtol=1e-12)
 
 
 # Each rounding bound below is the worst measured over 30,000 random

@@ -252,6 +252,19 @@ class TestOptimizeF:
         assert trace == [(1e-300, zero)] + rest
         assert best == rest_best
 
+    def test_profile_variation_at_tiny_f(self):
+        # the excitation scales as f^2 at a tiny f, so its profile
+        # variation tends to one value; its squares would underflow, and
+        # the scan once scored 0 at f = 1e-82, a false best. A subnormal
+        # peak (6e-320 at f = 1e-160) scores None
+        f_values = [1e-160, 1e-82, 1e-80, 1e-60, 60.0]
+        best, trace = optimize_f(4, 127, "center", False, "pem", f_values,
+                                 "min_profile_variation")
+        tiny = [value for _, value in trace[1:4]]
+        assert tiny == pytest.approx([tiny[2]] * 3, rel=1e-12, abs=0)
+        assert trace[0] == (1e-160, None)
+        assert best == 60.0
+
     def test_no_feasible_point_raises(self):
         with pytest.raises(RuntimeError, match="undefined at every grid"):
             optimize_f(16, 8, "end", True, "nonpem", [1.0, 2.0, 3.0])

@@ -18,21 +18,23 @@ a 16-element feeder on an 8-element surface, a tilted table whose first
 point is undefined, a table of 70 distances, surface patterns up to 1024
 elements wide, a distance whose isotropic loss overflows, a scan on the
 first rows of a wider steering matrix, 1024-element feeder patterns out
-to +/-90 degrees, a tilted table at 16 x 1024, tables padded with
+to +/-90 degrees, a tilted and a flat end-feed table at 16 x 1024, a
+1024 x 1024 flat end-feed report (a flat T is copied from one entry per
+feeder-surface offset where that saves 512 pairs), tables padded with
 ``nan`` sigma cells for N_a < 4, and a feeder wider than its surface,
 whose zero sigma gives ``-inf``/``inf`` table cells and ``null`` report
 values, tilted end feeds over a one-element surface, with a one-element
-and an odd-sized feeder, and one whose feeder reaches the surface,
-scans with a one-element feeder, a scan in stacks at the 2^20-entry
-cap, an angle grid whose cells hold exact ``%.6f`` ties, a 36,001-row
-surface pattern, a tilted 16-element scan of 64 f, scans of one full
-stack of 128 f and of 129 f, whose last stack has one column,
-a tilted table out to f = 1e6, center-feed tables and a scan at odd N_p,
-tables on each side of LAPACK's QR threshold, one whose entries
-LAPACK scales, scans of one f, a 78-step grid whose broadside sample
-prints as ``0.000000``, scans whose first f gives an all-zero
-surface excitation, and distances so small that the pattern, the
-report and the table overflow or underflow) and the benchmark ops at
+and an odd-sized feeder, and one whose feeder reaches the surface, scans
+with a one-element feeder, tilted and flat, a scan in stacks at the
+2^20-entry cap, an angle grid whose cells hold exact ``%.6f`` ties, a
+36,001-row surface pattern, a tilted 16-element scan of 64 f, scans of
+one full stack of 128 f and of 129 f, whose last stack has one column, a
+tilted table out to f = 1e6, center-feed tables and a scan at odd N_p,
+tables on each side of LAPACK's QR threshold, one whose entries LAPACK
+scales, scans of one f, a 78-step grid whose broadside sample prints as
+``0.000000``, scans whose first f gives an all-zero surface excitation
+or one whose squares underflow, and distances so small that the pattern,
+the report and the table overflow or underflow) and the benchmark ops at
 seeds 701 and 702, which come from ``bench/workloads.py`` (imported,
 never changed).
 """
@@ -107,8 +109,12 @@ EDGE = [
     # gain's rounded cos(pi/2)
     "pattern --na 1024 --np 8 --f 8",
     "pattern --na 1024 --np 4 --f 2 --feed end",
-    # the T kernel at the mode_table shape, tilted
+    # the T kernel at the mode_table shape, tilted (a build per pair) and
+    # flat (a build per offset n - m, 1039 of them)
     "table --na 16 --np 1024 --f 20,40,60,80,100 --feed end --tilted",
+    "table --na 16 --np 1024 --f 20,40,60,80,100 --feed end",
+    # the widest T at the CLI caps, 1024 x 1024 from 2047 offsets
+    "analyze --na 1024 --np 1024 --f 512 --feed end",
     # sigma columns padded with nan for N_a < 4
     "table --na 2 --np 8 --f 4,8",
     "table --na 1 --np 8 --f 8",
@@ -128,10 +134,11 @@ EDGE = [
     "--f-step 0.25 --objective max_power",
     # a tilted feeder that reaches the surface: no file, exit 2
     "analyze --na 16 --np 8 --f 1 --feed end --tilted"] + [
-    # one-element feeders: each stack's principal vectors are (F, 1)
-    f"sweep-f --na 1 --np 32 --feed end --tilted --f-min 2 --f-max 40 "
+    # one-element feeders: each stack's principal vectors are (F, 1); a
+    # flat one is built per pair, since its N_p offsets are its pairs
+    f"sweep-f --na 1 --np 32 --feed end {tilt}--f-min 2 --f-max 40 "
     f"--f-step 2 --beam {beam} --objective min_sll"
-    for beam in ("pem", "nonpem")] + [
+    for tilt in ("--tilted ", "") for beam in ("pem", "nonpem")] + [
     # stacks of 64 f at 16 x 1024, each at the 2^20-entry cap
     "sweep-f --na 16 --np 1024 --feed center --f-min 100 --f-max 180 "
     "--f-step 1 --beam nonpem --objective max_power",
@@ -153,8 +160,8 @@ EDGE = [
     "sweep-f --np 128 --feed end --tilted --f-min 60 --f-max 188 "
     "--f-step 1 --beam nonpem --objective min_sll",
     "table --na 16 --np 64 --f 40,1000,1e6 --feed end --tilted",
-    # center feeds, whose T is computed for its first ceil(N_p/2) rows and
-    # mirrored: odd N_p (a middle row of its own), and N_p 1 and 2
+    # center feeds at odd N_p and at N_p 1 and 2, built per pair, and at
+    # N_p 1023, built per offset
     "table --np 1,2,7,1023 --f 0.7,4,40,120,1e6",
     "table --na 16 --np 7,1023 --f 4,40,120",
     "sweep-f --np 127 --f-min 60 --f-max 140 --beam nonpem "
@@ -179,6 +186,10 @@ EDGE = [
     f"sweep-f --np 127 --feed center --f-min 1e-300 --f-max 120 "
     f"--f-step 60 --objective {objective}"
     for objective in ("max_power", "min_sll", "min_profile_variation")] + [
+    # an excitation near 1e-164, whose squares underflow: its profile
+    # variation is taken from the row scaled by a power of two
+    "sweep-f --np 127 --feed center --f-min 1e-82 --f-max 120 --f-step 60 "
+    "--objective min_profile_variation",
     # distances so small that sigma^2 and the pattern overflow, or that
     # sigma and the isotropic loss's log10 argument underflow to zero
     "pattern --array ris --na 1 --np 1 --f 1e-155",
