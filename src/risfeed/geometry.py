@@ -60,7 +60,8 @@ def _rotation(n_p, f, feed_style, tilted):
     at the surface centroid, like a feed horn aimed at the reflector
     center; flat, alpha is 0.
     """
-    x0 = _surface(n_p)[0, 0] if feed_style == "end" else 0.0
+    # _surface(n_p)[0, 0], the first surface element's x, +0.0 at N_p = 1
+    x0 = 0.0 - (n_p - 1) / 2.0 if feed_style == "end" else 0.0
     alpha = np.arctan2(-x0, f) if tilted else np.zeros_like(f)
     return x0, np.cos(alpha), np.sin(alpha)
 

@@ -3,10 +3,10 @@
 The SVD is one LAPACK call on T itself, or, for a stack of tall T, on
 the R factor of each T = QR, the one zgesdd would form. Neither squares
 the condition number as an eigensolve of the Gram matrix T^H T would.
-Global phase of each right vector is fixed so its largest-magnitude
+Global phase of each right vector read is fixed so its largest-magnitude
 entry is real and positive (lowest index on ties), which makes every
-downstream file reproducible bit for bit. Only svd_modes forms left
-vectors: its U columns take the same phase.
+downstream file reproducible bit for bit; a table reads sigma only.
+Only svd_modes forms left vectors: its U columns take the same phase.
 
 A sweep analyzes a stack of matrices in one call, and each keeps the
 bits of its own svd_modes. So the rule divides by the pivot's magnitude
@@ -68,17 +68,18 @@ class ModeMetrics:
 
 
 def _fix_phase(Vh):
-    """Right vectors from an (F, N_a, N_a) stack of V^H, and their
-    (F, N_a) phase factors.
+    """Right vectors from an (F, k, N_a) stack of the first k rows of
+    V^H, and their (F, k) phase factors.
 
     Column i of each result is conj(Vh[f, i, :]) times factor[f, i],
     the unit factor that makes its largest-magnitude entry real
-    positive (lowest index on ties).
+    positive (lowest index on ties); each column is ruled on its own,
+    so k = 1 gives v_1 alone with the bits of the full rule.
     """
     V = Vh.conj().transpose(0, 2, 1)
-    n_f, n_a = V.shape[:2]
+    n_f, _, k = V.shape
     at = (np.arange(n_f)[:, None], np.argmax(np.abs(V), axis=1),
-          np.arange(n_a))
+          np.arange(k))
     pivot = V[at]
     # a column of a unitary V has an entry of magnitude >= 1/sqrt(N_a)
     factor = pivot.conj() / np.hypot(pivot.real, pivot.imag)
@@ -99,9 +100,9 @@ def _padded(M):
 
 
 def _svd_stack(M):
-    """(sigma, right) of each matrix of an (F, N_p, N_a) stack, as
-    ModeAnalysis holds them, shaped (F, N_a) and (F, N_a, N_a); no U is
-    formed.
+    """(sigma, Vh) of each matrix of an (F, N_p, N_a) stack, shaped
+    (F, N_a) and (F, N_a, N_a), V^H as LAPACK gives it: only a caller
+    that reads right vectors pays _fix_phase. No U is formed.
 
     zgesdd factors a tall matrix, N_p >= floor(17 N_a / 9) (its MNTHR1),
     as QR first and takes the SVD of R (Chan's R-SVD), so the SVD of
@@ -118,9 +119,9 @@ def _svd_stack(M):
         sigma_1 = sigma[:, 0]
         if (np.all(2 * _SMALL * np.sqrt(n_p * n_a) <= sigma_1)
                 and np.all(sigma_1 <= _BIG / 2)):
-            return sigma, _fix_phase(Vh)[0]
+            return sigma, Vh
     _, sigma, Vh = np.linalg.svd(_padded(M), full_matrices=False)
-    return sigma, _fix_phase(Vh)[0]
+    return sigma, Vh
 
 
 def svd_modes(T: PropagationMatrix) -> ModeAnalysis:
@@ -147,17 +148,18 @@ def isotropic_loss_db(f) -> float:
         raise ValueError(f"isotropic loss overflows at f={f!r}") from None
 
 
-def mode_metrics(sigma, f, n_p) -> ModeMetrics:
-    """dB powers of the descending singular values sigma, their sum and
-    condition number, and the geometry ratios at f over n_p elements."""
+def mode_metrics(sigma, f, n_p):
+    """One ModeMetrics per row of the (F, N_a) stack sigma, each row
+    descending, at its distance in the F-long f over n_p elements: dB
+    powers of the singular values, their sum and condition number, and
+    the geometry ratios."""
     sig_sq = sigma ** 2
     with np.errstate(divide="ignore"):
-        sig_db = tuple(10.0 * np.log10(sig_sq))
-    sum_db = 10.0 * np.log10(sig_sq.sum())
-    smallest = sigma[-1]
-    cond = float(sigma[0] / smallest) if smallest > 0 else float("inf")
-    return ModeMetrics(sigma_sq_db=sig_db,
-                       sum_db=float(sum_db),
-                       cond=cond,
-                       l_iso_db=isotropic_loss_db(f),
-                       f_over_d=f / n_p)
+        sig_db = 10.0 * np.log10(sig_sq)
+    sum_db = 10.0 * np.log10(sig_sq.sum(axis=1))
+    cond = [float(top / least) if least > 0 else float("inf")
+            for top, least in zip(sigma[:, 0], sigma[:, -1])]
+    return [ModeMetrics(sigma_sq_db=tuple(s), sum_db=float(total),
+                        cond=c, l_iso_db=isotropic_loss_db(x),
+                        f_over_d=x / n_p)
+            for s, total, c, x in zip(sig_db, sum_db, cond, f, strict=True)]

@@ -161,12 +161,15 @@ def _sidelobe_levels(Y):
     # 32-bit column indices: the index compares move half the bytes
     j = np.arange(n, dtype=np.int32)
     k = Y.argmax(axis=1).astype(np.int32)[:, None]
-    before = j[:-1] < k
     # the lobe runs down to the last j < k with y[j] > y[j+1] and up to
-    # the first j >= k with y[j+1] > y[j]; ties (<=) stay in the lobe
-    stops = ~(Y[:, :-1] <= Y[:, 1:]) & before
-    lo = np.where(stops.any(axis=1), n - 1 - stops[:, ::-1].argmax(axis=1), 0)
-    stops = ~(Y[:, 1:] <= Y[:, :-1]) & ~before
+    # the first j >= k with y[j+1] > y[j]; ties (<=) stay in the lobe.
+    # The left flank is walked over the m columns before the farthest
+    # peak, at least one (no stop where every row peaks at column 0), so
+    # that argmax never takes an empty slice
+    m = int(k.max(initial=1))
+    stops = ~(Y[:, :m] <= Y[:, 1:m + 1]) & (j[:m] < k)
+    lo = np.where(stops.any(axis=1), m - stops[:, ::-1].argmax(axis=1), 0)
+    stops = ~(Y[:, 1:] <= Y[:, :-1]) & (j[:-1] >= k)
     hi = np.where(stops.any(axis=1), stops.argmax(axis=1), n - 1)
     outside = ((j < lo.astype(np.int32)[:, None])
                | (j > hi.astype(np.int32)[:, None]))

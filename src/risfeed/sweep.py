@@ -8,7 +8,8 @@ import numpy as np
 from .geometry import (Scenario, _clears, _layout, make_center_feed,
                        make_end_feed)
 from .coupling import _T_stack, build_T
-from .modes import ModeMetrics, _svd_stack, mode_metrics, svd_modes
+from .modes import (ModeMetrics, _fix_phase, _svd_stack, mode_metrics,
+                    svd_modes)
 # ris_pattern is not called here, but bench/selftest.py wraps this binding
 from .patterns import (_patterns, _sidelobe_levels,  # noqa: F401
                        default_grid, ris_pattern)
@@ -47,7 +48,7 @@ def analyze_point(n_a, n_p, f, feed_style, tilted=False):
                 else make_center_feed(n_a, n_p, f))
     T = build_T(scenario)
     modes = svd_modes(T)
-    return scenario, T, modes, mode_metrics(modes.sigma, f, n_p)
+    return scenario, T, modes, mode_metrics(modes.sigma[None], [f], n_p)[0]
 
 
 def run_grid(n_a, n_p_list, f_list, feed_style, tilted=False):
@@ -61,8 +62,9 @@ def run_grid(n_a, n_p_list, f_list, feed_style, tilted=False):
         metrics = [None] * len(f_list)
         for index, _, sigma, _ in _stacks(n_a, n_p, feed_style, tilted,
                                           f_list):
-            for i, s in zip(index, sigma):
-                metrics[i] = mode_metrics(s, f_list[i], n_p)
+            f_at = [f_list[i] for i in index]
+            for i, m in zip(index, mode_metrics(sigma, f_at, n_p)):
+                metrics[i] = m
         records += [SweepRecord(n_a=n_a, n_p=n_p, f=f, feed=feed_style,
                                 metrics=m) for f, m in zip(f_list, metrics)]
     records.sort(key=lambda rec: (rec.n_p, rec.f))
@@ -80,21 +82,22 @@ def _beam_for(v1, beam):
 
 
 def _stacks(n_a, n_p, feed_style, tilted, f_values):
-    """(indices, M, sigma, right) for each stack of up to _CHUNK f whose
+    """(indices, M, sigma, Vh) for each stack of up to _CHUNK f whose
     feeder clears the surface, each no larger than one T at the caps: M is
-    the _T_stack at f_values[indices], sigma and right its _svd_stack's
-    (no U is formed), each matrix with the bits of analyze_point at its
-    f."""
-    f = np.array([Scenario(n_a, n_p, x, feed_style, tilted).f  # names a bad f
-                  for x in f_values], dtype=float)
+    the _T_stack at f_values[indices], sigma and Vh its _svd_stack's (no U
+    is formed, no phase rule run), each matrix with the bits of
+    analyze_point at its f. f is checked in one pass; one Scenario checks
+    the sizes, the feed and then the first bad f, if any, and names it."""
+    f = np.array(f_values, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(f) & (f > 0)))
+    Scenario(n_a, n_p, f_values[bad[0] if bad.size else 0], feed_style, tilted)
     clear = np.flatnonzero(_clears(n_a, n_p, f, feed_style, tilted))
     width = max(1, min(_CHUNK, 2 ** 20 // (n_p * n_a)))
     for start in range(0, clear.size, width):
         index = clear[start:start + width].tolist()
         M = _T_stack(*_layout(n_a, n_p, f[index], feed_style, tilted),
                      f[index])
-        sigma, right = _svd_stack(M)
-        yield index, M, sigma, right
+        yield index, M, *_svd_stack(M)
 
 
 def _score(objective, X):
@@ -146,9 +149,8 @@ def optimize_f(n_a, n_p, feed_style, tilted, beam, f_values,
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     values = [None] * len(f_values)
-    for index, M, _, right in _stacks(n_a, n_p, feed_style, tilted,
-                                      f_values):
-        W = _beam_for(right[:, :, 0], beam)
+    for index, M, _, Vh in _stacks(n_a, n_p, feed_style, tilted, f_values):
+        W = _beam_for(_fix_phase(Vh[:, :1])[0][:, :, 0], beam)
         X = np.matmul(M, W[..., None])[..., 0]
         for i, val in zip(index, _score(objective, X)):
             values[i] = val

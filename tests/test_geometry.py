@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from risfeed.geometry import (Scenario, _clears, _layout, _line,
-                              make_center_feed, make_end_feed)
+                              _rotation, _surface, make_center_feed,
+                              make_end_feed)
 from risfeed.sweep import _stacks
 
 from oracles import scenario_arrays
@@ -199,6 +200,13 @@ class TestClearance:
         if n_p > 1:
             # the boundary lies inside the grid: both sides are present
             assert any(want) and not all(want)
+
+    def test_end_feed_x0_is_the_first_surface_element(self):
+        # bit for bit, sign of zero included: +0.0 at N_p = 1
+        for n_p in range(1, 1025):
+            x0, _, _ = _rotation(n_p, np.array([8.0]), "end", True)
+            assert (np.float64(x0).tobytes()
+                    == _surface(n_p)[0, 0].tobytes()), n_p
 
     def test_untilted_feeders_always_clear(self):
         f = np.array([1e-300, 1e-9, 0.5, 8.0, 1e300])

@@ -5,7 +5,7 @@ from risfeed.geometry import _clears, _layout, make_center_feed, make_end_feed
 from risfeed.cli import mode_report
 from risfeed.coupling import _T_stack, build_T
 from risfeed.modes import (BeamVector, svd_modes, mode_metrics,
-                           isotropic_loss_db, _fix_phase, _svd_stack)
+                           isotropic_loss_db, _svd_stack)
 from risfeed.sweep import _beam_for
 
 from oracles import feeder_beam, one_sided_jacobi_svd
@@ -47,7 +47,8 @@ class TestSvdModes:
             # up to cond 2.7e8 every sigma keeps full relative accuracy
             assert np.all(np.abs(m.sigma - s) <= 1e-9 * s)
         if n_p >= n_a:
-            assert np.isfinite(mode_metrics(m.sigma, sc.f, sc.n_p).cond)
+            (mm,) = mode_metrics(m.sigma[None], [sc.f], sc.n_p)
+            assert np.isfinite(mm.cond)
 
     def test_phase_convention(self):
         _, _, m = modes_for(4, 32, 16, feed="end", tilted=True)
@@ -101,17 +102,15 @@ class TestSvdModes:
 
 
 def assert_plain_svd_bits(M):
-    """_svd_stack's sigma and V have the bytes of one np.linalg.svd per
-    matrix, a wide one padded with zero rows to N_a x N_a, and
-    _fix_phase."""
+    """_svd_stack's sigma and V^H have the bytes of one np.linalg.svd per
+    matrix, a wide one padded with zero rows to N_a x N_a."""
     n_a = M.shape[2]
     parts = [np.linalg.svd(np.vstack([m, np.zeros((n_a - len(m), n_a))])
                            if len(m) < n_a else m, full_matrices=False)
              for m in M]
-    sigma, right = _svd_stack(M)
+    sigma, Vh = _svd_stack(M)
     assert sigma.tobytes() == np.array([s for _, s, _ in parts]).tobytes()
-    assert right.tobytes() == _fix_phase(
-        np.array([Vh for _, _, Vh in parts]))[0].tobytes()
+    assert Vh.tobytes() == np.array([v for _, _, v in parts]).tobytes()
 
 
 class TestSvdStack:
@@ -246,7 +245,7 @@ class TestScalarHelpers:
 class TestModeMetrics:
     def test_table_row_3_sum(self):
         sc, _, m = modes_for(4, 8, 40)
-        mm = mode_metrics(m.sigma, sc.f, sc.n_p)
+        mm = mode_metrics(m.sigma[None], [sc.f], sc.n_p)[0]
         assert mm.sum_db == pytest.approx(-20.97, abs=0.05)
         # printed table condition number is inconsistent with the row's
         # own sigma values; the consistent value is asserted here
@@ -256,7 +255,7 @@ class TestModeMetrics:
 
     def test_table_row_12(self):
         sc, _, m = modes_for(4, 32, 16)
-        mm = mode_metrics(m.sigma, sc.f, sc.n_p)
+        mm = mode_metrics(m.sigma[None], [sc.f], sc.n_p)[0]
         assert mm.sigma_sq_db[0] == pytest.approx(-13.25, abs=0.05)
         assert mm.sigma_sq_db[3] == pytest.approx(-24.33, abs=0.05)
         assert mm.cond == pytest.approx(3.58, rel=0.005)
@@ -264,13 +263,13 @@ class TestModeMetrics:
 
     def test_cond_identity(self):
         sc, _, m = modes_for(4, 16, 40)
-        mm = mode_metrics(m.sigma, sc.f, sc.n_p)
+        mm = mode_metrics(m.sigma[None], [sc.f], sc.n_p)[0]
         assert mm.cond == pytest.approx(
             10 ** ((mm.sigma_sq_db[0] - mm.sigma_sq_db[-1]) / 20), rel=1e-12)
 
     def test_sum_at_least_sigma1(self):
         sc, _, m = modes_for(4, 8, 80)
-        mm = mode_metrics(m.sigma, sc.f, sc.n_p)
+        mm = mode_metrics(m.sigma[None], [sc.f], sc.n_p)[0]
         assert mm.sum_db >= mm.sigma_sq_db[0]
 
 
@@ -292,8 +291,9 @@ class TestStructuralProperties:
         ms = svd_modes(scaled)
         assert np.allclose(ms.sigma, 3.5 * m.sigma, rtol=1e-12)
         assert np.allclose(ms.right_vectors, m.right_vectors, atol=1e-10)
-        assert mode_metrics(ms.sigma, sc.f, sc.n_p).cond == pytest.approx(
-            mode_metrics(m.sigma, sc.f, sc.n_p).cond, rel=1e-12)
+        mm_s, mm = mode_metrics(np.array([ms.sigma, m.sigma]), [sc.f] * 2,
+                                sc.n_p)
+        assert mm_s.cond == pytest.approx(mm.cond, rel=1e-12)
 
     def test_sigma1_decreasing_in_f_on_table_grid(self):
         for n_p, f_list in [(8, [4, 8, 40, 80, 120]),
@@ -320,7 +320,8 @@ class TestStructuralProperties:
 class TestModeReport:
     def test_report_round_trips(self):
         sc, _, m = modes_for(4, 8, 8)
-        rep = mode_report(m, mode_metrics(m.sigma, sc.f, sc.n_p), sc)
+        (mm,) = mode_metrics(m.sigma[None], [sc.f], sc.n_p)
+        rep = mode_report(m, mm, sc)
         assert rep["scenario"]["n_p"] == 8
         assert len(rep["sigma_sq_db"]) == 4
         v1 = np.array(rep["v1_re"]) + 1j * np.array(rep["v1_im"])

@@ -18,8 +18,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from risfeed import coupling
 from risfeed.coupling import _shift_invariant, _T_stack, build_T
 from risfeed.geometry import _layout, make_center_feed
+from risfeed.modes import _fix_phase
 from risfeed.patterns import _patterns, _sidelobe_levels, default_grid
-from risfeed.sweep import _stacks
+from risfeed.sweep import _stacks, run_grid
 
 from oracles import (analyze_or_none, brute_force_sidelobe, reference_T_stack,
                      single_feeder_power)
@@ -51,9 +52,10 @@ UP, DOWN = np.array([0.0, 1.0]), np.array([0.0, -1.0])
 def test_stack_points_equal_analyze_point(n_a, n_p, feed, f_values):
     feed_style, tilted = feed
     stacked = {}
-    for index, M, sigma, right in _stacks(n_a, n_p, feed_style, tilted,
-                                          f_values):
-        for i, entries, s, V in zip(index, M, sigma, right, strict=True):
+    for index, M, sigma, Vh in _stacks(n_a, n_p, feed_style, tilted,
+                                       f_values):
+        for i, entries, s, V in zip(index, M, sigma, _fix_phase(Vh)[0],
+                                    strict=True):
             stacked[i] = entries, s, V
     for i, f in enumerate(f_values):
         point = analyze_or_none(n_a, n_p, f, feed_style, tilted)
@@ -65,6 +67,62 @@ def test_stack_points_equal_analyze_point(n_a, n_p, feed, f_values):
         assert np.array_equal(entries, T.entries)
         assert np.array_equal(sigma, modes.sigma)
         assert np.array_equal(right, modes.right_vectors)
+
+
+@PROPERTY
+@given(n_as, n_ps, feeds, f_lists)
+# a center feed's mirror tie: |v_1| peaks one ulp above its pivot's
+# magnitude
+@example(16, 35, ("center", False), [424.03613505212957])
+@example(4, 2, ("center", False), [8.0])
+@example(16, 1024, ("end", True), [0.1, 1e4])
+def test_one_column_phase_rule_gives_v1_of_the_full_rule(n_a, n_p, feed,
+                                                         f_values):
+    for _, _, _, Vh in _stacks(n_a, n_p, *feed, f_values):
+        v1 = _fix_phase(Vh[:, :1])[0][:, :, 0]
+        assert v1.tobytes() == _fix_phase(Vh)[0][:, :, 0].tobytes()
+
+
+def assert_same_metrics(got, want):
+    """Every ModeMetrics field of got has the type and bytes of want's."""
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        assert type(other) is type(value), name
+        assert ([type(x) for x in np.atleast_1d(other)]
+                == [type(x) for x in np.atleast_1d(value)]), name
+        assert np.array(other).tobytes() == np.array(value).tobytes(), name
+
+
+def table_sizes(n_a):
+    """N_p lists at n_a: below it (a padded SVD), on each side of
+    zgesdd's QR threshold floor(17 N_a / 9), and anywhere up to 1024."""
+    threshold = 17 * n_a // 9
+    return st.lists(st.one_of(st.integers(1, max(1, n_a - 1)),
+                              st.integers(max(1, threshold - 1),
+                                          threshold),
+                              n_ps),
+                    min_size=1, max_size=3, unique=True)
+
+
+@PROPERTY
+@given(n_as.flatmap(lambda n_a: st.tuples(st.just(n_a), table_sizes(n_a))),
+       feeds, st.lists(st.one_of(fs, st.floats(0.1, 8.0)), min_size=1,
+                       max_size=4, unique=True))
+# a 16-element tilted feeder reaches the surface at f = 1 and 4
+@example((16, [8, 29, 30]), ("end", True), [1.0, 4.0, 40.0, 1e4])
+@example((1, [1, 1024]), ("center", False), [0.1, 1e4])
+@example((16, [1024]), ("end", False), [4.0, 40.0, 120.0])
+def test_run_grid_records_equal_analyze_point(sizes, feed, f_values):
+    n_a, n_p_list = sizes
+    records = run_grid(n_a, n_p_list, f_values, *feed)
+    assert [(r.n_p, r.f) for r in records] == sorted(
+        (n_p, f) for n_p in n_p_list for f in f_values)
+    for rec in records:
+        point = analyze_or_none(n_a, rec.n_p, rec.f, *feed)
+        if point is None:
+            assert rec.metrics is None
+        else:
+            assert_same_metrics(rec.metrics, point[3])
 
 
 @PROPERTY
@@ -303,6 +361,13 @@ def _db_rows(n):
 @example([[0.0, -1.0, -2.0], [-2.0, -1.0, 0.0], [-1.0, 0.0, -1.0],
           [0.0, -1.0, 0.0], [-1.0, -1.0, -1.0], [np.nan, -1.0, 0.0],
           [0.0, np.nan, -1.0], [-1.0, 0.0, np.nan]])
+# every row peaking at column 0 (no left flank to walk), every row
+# peaking at the last column, and a mix
+@example([[0.0, -1.0, -2.0, -1.0, -3.0], [0.0, -2.0, -1.0, -1.0, -4.0],
+          [0.0, -1.0, -1.0, -2.0, -3.0]])
+@example([[-3.0, -1.0, -2.0, -1.0, 0.0], [-4.0, -4.0, -3.0, -2.0, 0.0]])
+@example([[0.0, -1.0, -2.0, -1.0, -3.0], [-3.0, -1.0, -2.0, -1.0, 0.0],
+          [-2.0, -1.0, 0.0, -1.0, -2.0], [0.0, -2.0, -1.0, -2.0, 0.0]])
 def test_stacked_sidelobe_walk_matches_brute_force(rows):
     Y = np.array(rows)
     levels = _sidelobe_levels(Y)

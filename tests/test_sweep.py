@@ -11,6 +11,7 @@ import pytest
 import risfeed
 from risfeed.cli import write_table_csv, write_trace_csv
 from risfeed.geometry import Scenario
+from risfeed.modes import _fix_phase
 from risfeed.patterns import (_patterns, default_grid, ris_pattern,
                               sidelobe_level)
 from risfeed.sweep import (OBJECTIVES, _CHUNK, run_grid, optimize_f,
@@ -112,6 +113,31 @@ class TestFeedDispatch:
             with pytest.raises(ValueError, match=f"feed {feed!r}"):
                 optimize_f(4, 8, feed, tilted, "pem", [8.0, 16.0],
                            objective)
+
+
+class TestBadF:
+    """A scan checks its sizes and feed, then every f in one pass, and
+    raises Scenario's own error for the first bad f in scan order."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0, -1.0])
+    def test_first_bad_f_named(self, bad):
+        with pytest.raises(ValueError) as want:
+            Scenario(4, 8, bad, "center")
+        with pytest.raises(ValueError) as got:
+            run_grid(4, [8], [8.0, 16.0, bad, -5.0], "center")
+        assert str(got.value) == str(want.value)
+        assert str(want.value) == f"f={bad!r} must be positive and finite"
+        for objective in OBJECTIVES:
+            with pytest.raises(ValueError) as got:
+                optimize_f(4, 8, "end", True, "pem", [8.0, bad, 16.0],
+                           objective)
+            assert str(got.value) == str(want.value)
+
+    def test_sizes_and_feed_checked_before_f(self):
+        with pytest.raises(ValueError, match="n_a=0"):
+            run_grid(0, [8], [8.0, np.nan], "center")
+        with pytest.raises(ValueError, match="feed 'side'"):
+            optimize_f(4, 8, "side", False, "pem", [8.0, np.nan])
 
 
 class TestConvergenceStudy:
@@ -310,8 +336,9 @@ def half_grid_mismatches():
     for scan, values in zip(scans, got):
         n_a, n_p, (feed, tilted), beam, f_values = scan
         want = [None] * len(f_values)
-        for index, M, _, right in _stacks(n_a, n_p, feed, tilted, f_values):
-            X = np.matmul(M, _beam_for(right[:, :, 0], beam)[..., None])
+        for index, M, _, Vh in _stacks(n_a, n_p, feed, tilted, f_values):
+            v1 = _fix_phase(Vh)[0][:, :, 0]
+            X = np.matmul(M, _beam_for(v1, beam)[..., None])
             _, _, rows = _patterns(np.abs(X[..., 0]).T, grid)
             for i, row in zip(index, rows):
                 want[i] = sidelobe_level(row)
@@ -388,10 +415,10 @@ def stacked_scan(monkeypatch, n_a, n_p, feed, tilted, beam, f_values):
     feeder weights and surface excitations that optimize_f forms from
     them, one per point."""
     points = [(i, entries, s, V)
-              for index, M, sigma, right in _stacks(n_a, n_p, feed, tilted,
-                                                    f_values)
-              for i, entries, s, V in zip(index, M, sigma, right,
-                                          strict=True)]
+              for index, M, sigma, Vh in _stacks(n_a, n_p, feed, tilted,
+                                                 f_values)
+              for i, entries, s, V in zip(index, M, sigma,
+                                          _fix_phase(Vh)[0], strict=True)]
     weights, excitations = [], []
 
     def beam_spy(v1, name):
@@ -498,8 +525,8 @@ class TestBeamFor:
         # 160 f at N_p = 32: stacks of 128 and 32
         f_values = [20.0 + 0.75 * i for i in range(160)]
         rows = 0
-        for _, _, _, right in _stacks(n_a, 32, "end", True, f_values):
-            v1 = right[:, :, 0]
+        for _, _, _, Vh in _stacks(n_a, 32, "end", True, f_values):
+            v1 = _fix_phase(Vh)[0][:, :, 0]
             W = _beam_for(v1, beam)
             assert W.shape == v1.shape
             for k, w in enumerate(W):

@@ -31,7 +31,8 @@ with a one-element feeder, tilted and flat, a scan in stacks at the
 one full stack of 128 f and of 129 f, whose last stack has one column, a
 tilted table out to f = 1e6, center-feed tables and a scan at odd N_p,
 tables on each side of LAPACK's QR threshold, one whose entries LAPACK
-scales, scans of one f, a 78-step grid whose broadside sample prints as
+scales, one 16-element table of padded, R-factor and ill-conditioned
+stacks, scans of one f, a 78-step grid whose broadside sample prints as
 ``0.000000``, scans whose first f gives an all-zero surface excitation
 or one whose squares underflow, and distances so small that the pattern,
 the report and the table overflow or underflow) and the benchmark ops at
@@ -173,6 +174,9 @@ EDGE = [
     "table --na 64 --np 119,120 --f 8,40,120",
     # entries so small or large that LAPACK scales them: no R factor
     "table --np 8,64 --f 1e-140,8,1e140",
+    # one table of the three stack kinds: padded (N_p < N_a), R factor,
+    # and ill-conditioned at f = 1e6
+    "table --na 16 --np 8,64,1024 --f 4,40,120,1e6",
     # a one-f min_sll scan: its product has one column, as a CLI
     # pattern's does
     "sweep-f --np 128 --feed center --beam pem --f-min 50 --f-max 50",
