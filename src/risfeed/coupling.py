@@ -13,8 +13,8 @@ boresight.
 On a flat layout, a center feed or an untilted end feed, T[n, m] depends
 on the offset n - m alone, bit for bit: each feeder's T is Toeplitz, so
 its N_p + N_a - 1 distinct entries are computed once and T is copied
-from them. Other layouts, and stacks too small to repay the check, compute
-every pair.
+from them. A tilted feed over two or more surface elements computes every
+pair.
 """
 
 from dataclasses import dataclass
@@ -23,11 +23,6 @@ import numpy as np
 
 from .geometry import _layout
 
-# the fewest pairs the build per offset must save, F (N_p-1) (N_a-1), to
-# repay its _shift_invariant check: about 20 us, the cost of some 450
-# pairs (2-core Xeon, numpy 2.4.6); a single-f T at 4 x 96-160 is built
-# per pair, a 5-f stack at 4 x 64 per offset
-_MIN_SAVED = 512
 
 def element_gain(theta):
     """Patch-element power gain 4*max(cos(theta), 0)^2.
@@ -98,45 +93,20 @@ def _pair_geometry(surface, surface_boresight, feeders, feeder_boresights):
     return r, cos_theta, cos_phi
 
 
-def _shift_invariant(surface, surface_boresight, feeders, feeder_boresights):
-    """Whether every pair's terms in _pair_geometry are, bit for bit, those
-    of any pair with its offset n - m, so each feeder's T is Toeplitz.
-
-    It holds where every boresight is (0, +-1), each array lies at one z
-    (each feeder at another z than the surface), and every x is a
-    multiple of 1/2 below 2**51 in magnitude, with one step between
-    neighbours along x throughout both arrays. Proof: sums and
-    differences of such x are multiples of 1/2 below 2**52, so exact. The
-    steps are then exact, so the surface x are x_0 + n*step and a
-    feeder's a_0 + m*step, and each pair's dx is x_0 - a_0 + (n - m)*step
-    with no rounding (up to the sign of a zero, which is squared or
-    multiplied into a zero). Its dz is one value per feeder, and not zero.
-    r rounds from dx and dz alone. Each cosine numerator is dx times a
-    zero x-component, a zero, plus dz times a z-component of +-1, exactly
-    +-dz: their sum is +-dz however BLAS orders or fuses it. Every flat
-    layout the geometry builds passes: a center feed, an untilted end
-    feed, and a tilted one over one surface element, whose tilt is zero.
-    """
-    x, z = surface[:, 0], surface[:, 1]
-    a, c = feeders[..., 0], feeders[..., 1]
-    if not (surface_boresight[0] == 0 and abs(surface_boresight[1]) == 1
-            and not feeder_boresights[:, 0].any()
-            and (np.abs(feeder_boresights[:, 1]) == 1).all()
-            and (z == z[0]).all() and (c == c[:, :1]).all()
-            and (c[:, 0] != z[0]).all()):
-        return False
-    twice = 2.0 * np.concatenate([x, a.ravel()])
-    steps = np.concatenate([x[1:] - x[:-1], (a[:, 1:] - a[:, :-1]).ravel()])
-    return bool((np.abs(twice) < 2.0 ** 52).all()
-                and (twice == np.rint(twice)).all()
-                and (steps == steps[:1]).all())
-
-
 def _offset_geometry(surface, surface_boresight, feeders, feeder_boresights):
-    """_pair_geometry's (r, cos_theta, cos_phi) for a _shift_invariant
-    layout, each (feeder, offset): column j holds offset n - m = j -
-    (N_a-1), from surface element 0 against feeder elements N_a-1 ... 1,
-    then each surface element against feeder element 0."""
+    """_pair_geometry's (r, cos_theta, cos_phi) for a flat layout, each
+    (feeder, offset): column j holds offset n - m = j - (N_a-1), from
+    surface element 0 against feeder elements N_a-1 ... 1, then each
+    surface element against feeder element 0.
+
+    The bits are those of every pair with that offset. Every x is a
+    multiple of 1/2 below 2**51 with one unit step along both arrays, so
+    each pair's dx is x_0 - a_0 + n - m exactly (up to the sign of a
+    zero, which is squared or multiplied into a zero). dz is one nonzero
+    value per feeder, so r rounds from the offset alone. Each cosine
+    numerator is dx times a zero x-component plus dz times +-1: exactly
+    +-dz, however BLAS orders or fuses it.
+    """
     dx = np.concatenate([surface[0, 0] - feeders[:, :0:-1, 0],
                          surface[:, 0] - feeders[:, :1, 0]], axis=1)
     dz = surface[0, 1] - feeders[:, :1, 1]
@@ -148,23 +118,25 @@ def _offset_geometry(surface, surface_boresight, feeders, feeder_boresights):
 
 
 def _T_stack(surface, surface_boresight, feeders, feeder_boresights, f):
-    """(F, N_p, N_a) propagation entries from the arrays _pair_geometry
-    takes, feeder k at distance f[k]; the bits of entry [k] do not depend
-    on the rest of the stack. A distance so large that r overflows
-    raises a ValueError naming its f, in place of numpy warnings.
+    """(F, N_p, N_a) propagation entries, feeder k at distance f[k], from
+    the arrays geometry._layout gives, or from those arrays with the
+    roles swapped (one feeder as the surface, the surface as a stack of
+    one); the bits of entry [k] do not depend on the rest of the stack.
+    A distance so large that r overflows raises a ValueError naming its
+    f, in place of numpy warnings.
 
-    A _shift_invariant layout computes its N_p + N_a - 1 offsets' entries
-    once, from _offset_geometry, and copies T[n, m] from offset n - m,
-    with the bits of computing each pair, where that saves _MIN_SAVED
-    pairs or more.
+    Where every boresight lies along z (a zero x-component, -0.0 included:
+    a center or untilted end feed, or a tilted one over one surface
+    element), the layout is flat: its N_p + N_a - 1 offsets' entries are
+    computed once, from _offset_geometry, and T[n, m] is copied from
+    offset n - m, with the bits of computing each pair.
     """
     (n_f, n_a, _), n_p = feeders.shape, len(surface)
     arrays = surface, surface_boresight, feeders, feeder_boresights
     with np.errstate(all="ignore"):
-        geometry = (_offset_geometry
-                    if n_f * (n_p - 1) * (n_a - 1) >= _MIN_SAVED
-                    and _shift_invariant(*arrays) else _pair_geometry)
-        r, amp, cos_phi = geometry(*arrays)
+        flat = not surface_boresight[0] and not feeder_boresights[:, 0].any()
+        r, amp, cos_phi = (_offset_geometry if flat
+                           else _pair_geometry)(*arrays)
         if not r.all():     # the build per pair names the coincident pair
             _pair_geometry(*arrays)
         # sqrt(E(theta) * E(phi)) / (2 pi r) with E = 4*cos+^2, in place

@@ -9,17 +9,21 @@ comparisons replaced. The CSV writers below are the package's former
 per-row csv.writer bodies, the byte-for-byte reference for its
 block-formatted writers, and reference_T_stack is the package's former
 propagation kernel, the bit-for-bit reference for its in-place one.
-Three helpers call the package instead: scenario_arrays lays out one
+Four helpers call the package instead: scenario_arrays lays out one
 scenario, feeder_beam forms the feeder excitation the CLI draws from one
-mode analysis, and analyze_or_none analyzes one point where it is
-defined.
+mode analysis, analyze_or_none analyzes one point where it is defined,
+and assert_T_stack_bytes checks the package's T kernel against
+reference_T_stack.
 """
 
 import csv
 import math
+import re
 
 import numpy as np
+import pytest
 
+from risfeed.coupling import _T_stack
 from risfeed.geometry import _layout
 from risfeed.modes import BeamVector
 from risfeed.sweep import _beam_for, analyze_point
@@ -143,6 +147,22 @@ def reference_T_stack(surface, surface_boresight, feeders,
         raise ValueError("propagation matrix is not finite at "
                          f"f={float(f[k])!r}")
     return entries
+
+
+def assert_T_stack_bytes(arrays, f):
+    """_T_stack gives reference_T_stack's dtype, shape and bytes, signs of
+    zero and NaN payloads included, or raises its ValueError with the
+    identical message."""
+    try:
+        expected = reference_T_stack(*arrays, f)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+            _T_stack(*arrays, f)
+        return
+    entries = _T_stack(*arrays, f)
+    assert entries.dtype == expected.dtype
+    assert entries.shape == expected.shape
+    assert entries.tobytes() == expected.tobytes()
 
 
 def brute_force_sidelobe(angles_deg, power_db, relative=True):

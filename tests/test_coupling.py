@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -9,12 +8,12 @@ from risfeed import coupling
 from risfeed.geometry import (Scenario, _layout, make_center_feed,
                               make_end_feed)
 from risfeed.coupling import (PropagationMatrix, element_gain,
-                              _pair_geometry, _shift_invariant, _T_stack,
-                              build_T)
+                              _pair_geometry, _T_stack, build_T)
 from risfeed.modes import svd_modes
 from risfeed.sweep import _stacks
 
-from oracles import reference_T_stack, scenario_arrays, single_feeder_power
+from oracles import (assert_T_stack_bytes, scenario_arrays,
+                     single_feeder_power)
 
 
 def pair_geometry(scenario):
@@ -163,32 +162,11 @@ class TestBuildT:
             _T_stack(surface, up, feeder[None], down[None], [1.0])
 
 
-def assert_same_bits(arrays, f):
-    """_T_stack and the former kernel give the same bytes, signs of zero
-    and NaN payloads included, or raise the same ValueError, whether a
-    flat layout is built per offset at any size or only where that saves
-    coupling._MIN_SAVED pairs."""
-    with pytest.MonkeyPatch.context() as patch:
-        for min_saved in (coupling._MIN_SAVED, 0):
-            patch.setattr(coupling, "_MIN_SAVED", min_saved)
-            try:
-                expected = reference_T_stack(*arrays, f)
-            except ValueError as error:
-                with pytest.raises(ValueError,
-                                   match=f"^{re.escape(str(error))}$"):
-                    _T_stack(*arrays, f)
-                continue
-            entries = _T_stack(*arrays, f)
-            assert entries.dtype == expected.dtype
-            assert np.array_equal(entries, expected)
-            assert entries.tobytes() == expected.tobytes()
-
-
 class TestLeanKernel:
     """The in-place _T_stack against reference_T_stack, the former
     out-of-place kernel. Tilted feeds are the cases where the order of the
     fused multiply-add in the cosine numerators shows; center and untilted
-    end feeds are checked built per pair and per offset n - m."""
+    end feeds are built per offset n - m."""
 
     F = np.array([0.7, 1.0, 2.5, 8.0, 37.3, 120.0, 1e3, 12345.678, 1e6,
                   1e7])
@@ -200,45 +178,64 @@ class TestLeanKernel:
     def test_bits_match_former_kernel(self, feed, tilted, n_a):
         # N_p + N_a - 1 offsets on flat feeds, from 1 to 1039
         for n_p in (1, 2, 3, 7, 8, 127, 128, 1023, 1024):
-            assert_same_bits(_layout(n_a, n_p, self.F, feed, tilted), self.F)
+            assert_T_stack_bytes(_layout(n_a, n_p, self.F, feed, tilted),
+                                 self.F)
             # one distance at a time: a stack of one feeder
-            assert_same_bits(_layout(n_a, n_p, self.F[3:4], feed, tilted),
-                             self.F[3:4])
+            assert_T_stack_bytes(
+                _layout(n_a, n_p, self.F[3:4], feed, tilted), self.F[3:4])
 
     def test_bits_match_with_roles_swapped(self):
         surface, up = line(8, 0, (0, 1))
         feeder, down = line(4, 8, (0, -1))
-        assert_same_bits((feeder, down, surface[None], up[None]), [8.0])
+        assert_T_stack_bytes((feeder, down, surface[None], up[None]), [8.0])
         surface, up, feeders, boresights = _layout(
             4, 32, np.array([16.0]), "end", True)
-        assert_same_bits((feeders[0], boresights[0], surface[None],
-                          up[None]), [16.0])
+        assert_T_stack_bytes((feeders[0], boresights[0], surface[None],
+                              up[None]), [16.0])
 
-    def test_only_flat_feeds_are_shift_invariant(self):
-        for n_p in (2, 3, 8):
-            assert _shift_invariant(*_layout(4, n_p, self.F, "center", False))
-            assert _shift_invariant(*_layout(4, n_p, self.F, "end", False))
-            assert not _shift_invariant(*_layout(4, n_p, self.F, "end", True))
-        # over one surface element the tilt is zero: a flat feeder
-        assert _shift_invariant(*_layout(4, 1, self.F, "center", False))
-        assert _shift_invariant(*_layout(4, 1, self.F, "end", True))
+    def test_boresights_pick_the_build(self, monkeypatch):
+        built = []
+        for name in ("_offset_geometry", "_pair_geometry"):
+            def spy(*arrays, name=name, geometry=getattr(coupling, name)):
+                built.append(name)
+                return geometry(*arrays)
+            monkeypatch.setattr(coupling, name, spy)
 
-    def test_flat_stacks_build_per_offset_where_it_saves_pairs(
-            self, monkeypatch):
-        built, offset_geometry = [], coupling._offset_geometry
+        def build(arrays, f):
+            built.clear()
+            _T_stack(*arrays, f)
+            return built[0]
 
-        def spy(*arrays):
-            built.append(arrays[2].shape)
-            return offset_geometry(*arrays)
-
-        monkeypatch.setattr(coupling, "_offset_geometry", spy)
-        # F (N_p-1) (N_a-1) saved pairs: 381, 0 and 2286; tilted, none
-        for n_a, n_p, f, tilted in [(4, 128, self.F[:1], False),
-                                    (1, 1024, self.F, False),
-                                    (4, 128, self.F[:6], False),
-                                    (4, 128, self.F[:6], True)]:
-            _T_stack(*_layout(n_a, n_p, f, "end", tilted), f)
-        assert built == [(6, 4, 2)]
+        one = self.F[3:4]
+        # every flat layout is built per offset, at any size; a tilted one
+        # over two or more surface elements per pair
+        flat = ([(4, n_p, self.F, feed, False) for n_p in (1, 2, 3, 8, 128)
+                 for feed in ("center", "end")]
+                + [(4, n_p, one, feed, False) for n_p in (96, 160)
+                   for feed in ("center", "end")]
+                + [(4, 1, self.F, "end", True), (1, 8, one, "center", False),
+                   (1, 1024, self.F, "end", False)])
+        tilted = [(n_a, n_p, f, "end", True)
+                  for n_a, n_p, f in [(4, 2, self.F), (4, 8, self.F),
+                                      (4, 128, self.F), (1, 1024, self.F),
+                                      (16, 3, one), (4, 96, one)]]
+        for layouts, geometry in [(flat, "_offset_geometry"),
+                                  (tilted, "_pair_geometry")]:
+            for n_a, n_p, f, feed, tilt in layouts:
+                assert build(_layout(n_a, n_p, f, feed, tilt), f) == \
+                    geometry, (n_a, n_p, len(f), feed, tilt)
+        # roles swapped: one feeder as the surface, the surface as the
+        # feeder; flat unless tilted over two or more surface elements
+        for n_a, n_p in [(4, 1), (4, 2), (1, 8), (16, 160)]:
+            for feed, tilted in [("center", False), ("end", False),
+                                 ("end", True)]:
+                surface, up, feeders, boresights = _layout(
+                    n_a, n_p, one, feed, tilted)
+                swapped = feeders[0], boresights[0], surface[None], up[None]
+                flat = not tilted or n_p == 1
+                assert build(swapped, one) == (
+                    "_offset_geometry" if flat else "_pair_geometry"), (
+                        n_a, n_p, feed, tilted)
 
     @pytest.mark.parametrize("n_s, n_f", [(8, 4), (7, 3), (3, 7), (2, 1)])
     def test_bits_match_on_hand_built_mirrored_layouts(self, n_s, n_f):
@@ -254,47 +251,38 @@ class TestLeanKernel:
             # a feeder shifted half a unit along x
             (surface, up, feeder[None] + [0.5, 0.0], down[None])]
         for arrays in layouts:
-            assert _shift_invariant(*arrays)
-            assert_same_bits(arrays, [8.0])
+            assert_T_stack_bytes(arrays, [8.0])
         # a stack of two feeders, the second so far that r overflows
         f = np.array([8.0, 1e308])
         swapped = np.stack([surface, surface + [0.0, 1e308 - 8.0]])
         arrays = (feeder, down, swapped, np.stack([up, up]))
-        assert _shift_invariant(*arrays)
-        assert_same_bits(arrays, f)
-        # a feeder level with the surface, one element beyond each end
-        # (zero cosine numerators, whose sign cos+ drops), a feeder shifted
-        # off the half-unit lattice, or either boresight turned off z takes
-        # the general build
+        assert_T_stack_bytes(arrays, f)
+        # a feeder shifted a quarter unit along x, or either boresight
+        # turned off z
         tilt = np.array([0.6, -0.8])
-        for arrays in [(surface, up,
-                        np.array([[[-1.0, 0.0], [1.0, 0.0]]]) * (n_s + 1),
-                        down[None]),
-                       (surface, up, feeder[None] + [0.25, 0.0], down[None]),
+        for arrays in [(surface, up, feeder[None] + [0.25, 0.0], down[None]),
                        (surface, up, feeder[None], tilt[None]),
                        (surface, -tilt, feeder[None], down[None])]:
-            assert not _shift_invariant(*arrays)
-            assert_same_bits(arrays, [8.0])
+            assert_T_stack_bytes(arrays, [8.0])
 
     def test_bits_match_back_to_back(self):
         feeder, up = line(2, 8, (0, 1))
         surface, down = line(4, 0, (0, -1))
-        assert_same_bits((surface, down, feeder[None], up[None]), [8.0])
+        assert_T_stack_bytes((surface, down, feeder[None], up[None]), [8.0])
 
     def test_errors_match_former_kernel(self):
         feeder, down = line(1, 0, (0, -1))
         surface, up = line(3, 0, (0, 1))
-        assert_same_bits((surface, up, feeder[None], down[None]), [1.0])
+        assert_T_stack_bytes((surface, up, feeder[None], down[None]), [1.0])
         # a flat feeder so low that r underflows to zero: the build per
         # pair names the pair
         arrays = (surface, up, feeder[None] + [0.0, 1e-200], down[None])
-        assert _shift_invariant(*arrays)
         with pytest.raises(ValueError,
                            match="^coincident elements: surface 1, feeder 0$"):
             _T_stack(*arrays, [1e-200])
-        assert_same_bits(arrays, [1e-200])
+        assert_T_stack_bytes(arrays, [1e-200])
         f = np.array([8.0, 1e308])
-        assert_same_bits(_layout(4, 8, f, "center", False), f)
+        assert_T_stack_bytes(_layout(4, 8, f, "center", False), f)
 
     def test_traced_peak_at_widest_table_stack(self):
         # 5 f at N_a 16 x N_p 1024, mode_table's widest stack: the result

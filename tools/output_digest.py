@@ -20,7 +20,8 @@ elements wide, a distance whose isotropic loss overflows, a scan on the
 first rows of a wider steering matrix, 1024-element feeder patterns out
 to +/-90 degrees, a tilted and a flat end-feed table at 16 x 1024, a
 1024 x 1024 flat end-feed report (a flat T is copied from one entry per
-feeder-surface offset where that saves 512 pairs), tables padded with
+feeder-surface offset), flat single-f reports and profiles at 4 x 96
+and 4 x 160 and a flat one-element-feeder table, tables padded with
 ``nan`` sigma cells for N_a < 4, and a feeder wider than its surface,
 whose zero sigma gives ``-inf``/``inf`` table cells and ``null`` report
 values, tilted end feeds over a one-element surface, with a one-element
@@ -115,7 +116,13 @@ EDGE = [
     "table --na 16 --np 1024 --f 20,40,60,80,100 --feed end --tilted",
     "table --na 16 --np 1024 --f 20,40,60,80,100 --feed end",
     # the widest T at the CLI caps, 1024 x 1024 from 2047 offsets
-    "analyze --na 1024 --np 1024 --f 512 --feed end",
+    "analyze --na 1024 --np 1024 --f 512 --feed end"] + [
+    # single-f flat T of report_files' sizes, each built per offset
+    f"{cmd} --na 4 --np {n_p} --f 60 --feed {feed}"
+    for cmd in ("analyze", "profile") for n_p in (96, 160)
+    for feed in ("center", "end")] + [
+    # a flat one-element feeder, whose N_p offsets are its pairs
+    "table --na 1 --np 8,1024 --f 4,40,120",
     # sigma columns padded with nan for N_a < 4
     "table --na 2 --np 8 --f 4,8",
     "table --na 1 --np 8 --f 8",
@@ -136,7 +143,7 @@ EDGE = [
     # a tilted feeder that reaches the surface: no file, exit 2
     "analyze --na 16 --np 8 --f 1 --feed end --tilted"] + [
     # one-element feeders: each stack's principal vectors are (F, 1); a
-    # flat one is built per pair, since its N_p offsets are its pairs
+    # flat one is built per offset, its N_p offsets being its pairs
     f"sweep-f --na 1 --np 32 --feed end {tilt}--f-min 2 --f-max 40 "
     f"--f-step 2 --beam {beam} --objective min_sll"
     for tilt in ("--tilted ", "") for beam in ("pem", "nonpem")] + [
@@ -161,8 +168,8 @@ EDGE = [
     "sweep-f --np 128 --feed end --tilted --f-min 60 --f-max 188 "
     "--f-step 1 --beam nonpem --objective min_sll",
     "table --na 16 --np 64 --f 40,1000,1e6 --feed end --tilted",
-    # center feeds at odd N_p and at N_p 1 and 2, built per pair, and at
-    # N_p 1023, built per offset
+    # center feeds at odd N_p, at N_p 1 and 2 and at N_p 1023, each
+    # built per offset
     "table --np 1,2,7,1023 --f 0.7,4,40,120,1e6",
     "table --na 16 --np 7,1023 --f 4,40,120",
     "sweep-f --np 127 --f-min 60 --f-max 140 --beam nonpem "
