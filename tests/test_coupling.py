@@ -12,8 +12,8 @@ from risfeed.coupling import (PropagationMatrix, element_gain,
 from risfeed.modes import svd_modes
 from risfeed.sweep import _stacks
 
-from oracles import (assert_T_stack_bytes, scenario_arrays,
-                     single_feeder_power)
+from oracles import (assert_T_stack_bytes, reference_T_stack,
+                     scenario_arrays, single_feeder_power)
 
 
 def pair_geometry(scenario):
@@ -193,7 +193,21 @@ class TestLeanKernel:
         assert_T_stack_bytes((feeders[0], boresights[0], surface[None],
                               up[None]), [16.0])
 
-    def test_boresights_pick_the_build(self, monkeypatch):
+    def test_only_flat_feeds_are_shift_invariant(self):
+        # the premise of the build per offset: the build per pair gives a
+        # flat layout's T[n, m] from n - m alone, bit for bit
+        def toeplitz(arrays):
+            T = reference_T_stack(*arrays, self.F)
+            return T[:, 1:, 1:].tobytes() == T[:, :-1, :-1].tobytes()
+
+        for n_p in (2, 3, 8):
+            assert toeplitz(_layout(4, n_p, self.F, "center", False))
+            assert toeplitz(_layout(4, n_p, self.F, "end", False))
+            assert not toeplitz(_layout(4, n_p, self.F, "end", True))
+
+    @pytest.fixture
+    def build(self, monkeypatch):
+        """_T_stack, returning the name of the geometry it built T from."""
         built = []
         for name in ("_offset_geometry", "_pair_geometry"):
             def spy(*arrays, name=name, geometry=getattr(coupling, name)):
@@ -205,14 +219,27 @@ class TestLeanKernel:
             built.clear()
             _T_stack(*arrays, f)
             return built[0]
+        return build
 
+    def test_flat_stacks_build_per_offset_where_it_saves_pairs(self, build):
+        # N_p + N_a - 1 offsets against N_p N_a pairs, at any size: small
+        # stacks and single-f reports included
         one = self.F[3:4]
-        # every flat layout is built per offset, at any size; a tilted one
-        # over two or more surface elements per pair
-        flat = ([(4, n_p, self.F, feed, False) for n_p in (1, 2, 3, 8, 128)
+        flat = ([(4, n_p, self.F, feed) for n_p in (2, 3, 8, 128)
                  for feed in ("center", "end")]
-                + [(4, n_p, one, feed, False) for n_p in (96, 160)
+                + [(4, n_p, one, feed) for n_p in (96, 160)
                    for feed in ("center", "end")]
+                + [(16, 1024, self.F[:5], "center")])
+        for n_a, n_p, f, feed in flat:
+            assert build(_layout(n_a, n_p, f, feed, False), f) == \
+                "_offset_geometry", (n_a, n_p, len(f), feed)
+
+    def test_boresights_pick_the_build(self, build):
+        one = self.F[3:4]
+        # a flat layout with one element on either side saves no pairs and
+        # is built per offset all the same; a tilted one over two or more
+        # surface elements per pair
+        flat = ([(4, 1, self.F, feed, False) for feed in ("center", "end")]
                 + [(4, 1, self.F, "end", True), (1, 8, one, "center", False),
                    (1, 1024, self.F, "end", False)])
         tilted = [(n_a, n_p, f, "end", True)
