@@ -5,8 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (Scenario, _clears, _layout, make_center_feed,
-                       make_end_feed)
+from .geometry import Scenario, _layout, make_center_feed, make_end_feed
 from .coupling import _T_stack, build_T
 from .modes import (ModeMetrics, _fix_phase, _svd_stack, mode_metrics,
                     svd_modes)
@@ -15,9 +14,10 @@ from .patterns import (_patterns, _sidelobe_levels,  # noqa: F401
                        default_grid, ris_pattern)
 
 OBJECTIVES = ("max_power", "min_sll", "min_profile_variation")
-# the most distances a scan analyzes in one stack: one T build, one SVD,
-# then table metrics or one excitation product and, for min_sll, one
-# steering-matrix product and one sidelobe walk. A stack is narrower
+# the most consecutive f of a scan's f list in one chunk, whose f that
+# clear the surface it analyzes as one stack: one T build, one SVD, then
+# table metrics or one excitation product and, for min_sll, one
+# steering-matrix product and one sidelobe walk. A chunk is narrower
 # where it would hold more than 2**20 T entries, as one T at the CLI
 # caps does: one f at 1024 x 1024. A scan holds one stack, never the
 # whole scan: a min_sll product on the broadside half of the default
@@ -82,22 +82,24 @@ def _beam_for(v1, beam):
 
 
 def _stacks(n_a, n_p, feed_style, tilted, f_values):
-    """(indices, M, sigma, Vh) for each stack of up to _CHUNK f whose
-    feeder clears the surface, each no larger than one T at the caps: M is
-    the _T_stack at f_values[indices], sigma and Vh its _svd_stack's (no U
-    is formed, no phase rule run), each matrix with the bits of
-    analyze_point at its f. f is checked in one pass; one Scenario checks
-    the sizes, the feed and then the first bad f, if any, and names it."""
+    """(indices, M, sigma, Vh) for each chunk of up to _CHUNK consecutive
+    f_values, no larger than one T at the caps, over its f whose laid-out
+    feeder clears the surface (a chunk with none yields nothing): M is the
+    _T_stack at f_values[indices], sigma and Vh its _svd_stack's (no U is
+    formed, no phase rule run), each matrix with the bits of analyze_point
+    at its f. f is checked in one pass; one Scenario checks the sizes, the
+    feed and then the first bad f, if any, and names it."""
     f = np.array(f_values, dtype=float)
     bad = np.flatnonzero(~(np.isfinite(f) & (f > 0)))
     Scenario(n_a, n_p, f_values[bad[0] if bad.size else 0], feed_style, tilted)
-    clear = np.flatnonzero(_clears(n_a, n_p, f, feed_style, tilted))
     width = max(1, min(_CHUNK, 2 ** 20 // (n_p * n_a)))
-    for start in range(0, clear.size, width):
-        index = clear[start:start + width].tolist()
-        M = _T_stack(*_layout(n_a, n_p, f[index], feed_style, tilted),
-                     f[index])
-        yield index, M, *_svd_stack(M)
+    for start in range(0, f.size, width):
+        at = f[start:start + width]
+        surface, up, feeders, bores = _layout(n_a, n_p, at, feed_style, tilted)
+        clear = (feeders[..., 1] > 0).all(axis=1)
+        if clear.any():
+            M = _T_stack(surface, up, feeders[clear], bores[clear], at[clear])
+            yield (start + np.flatnonzero(clear)).tolist(), M, *_svd_stack(M)
 
 
 def _score(objective, X):

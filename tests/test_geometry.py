@@ -1,20 +1,14 @@
 import numpy as np
 import pytest
 
-from risfeed.geometry import (Scenario, _clears, _layout, _line,
-                              _rotation, _surface, make_center_feed,
+from risfeed.geometry import (Scenario, _layout, make_center_feed,
                               make_end_feed)
 from risfeed.sweep import _stacks
 
 from oracles import scenario_arrays
 
 
-class TestBuildLinearArray:
-    def test_single_element_at_centroid(self):
-        pos = _line(1, np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-        assert pos.shape == (1, 2)
-        assert np.allclose(pos, [[0, 0]])
-
+class TestElementLines:
     def test_eight_elements_symmetric(self):
         surface, *_ = scenario_arrays(make_center_feed(1, 8, 4))
         assert np.allclose(surface[:, 0],
@@ -25,15 +19,6 @@ class TestBuildLinearArray:
         _, _, feeder, _ = scenario_arrays(make_center_feed(4, 8, 8))
         assert np.allclose(feeder[:, 0], [-1.5, -0.5, 0.5, 1.5])
         assert np.allclose(feeder[:, 1], 8.0)
-
-    def test_centroid_property(self):
-        pos = _line(5, np.array([2.0, 3.0]), np.array([0.0, 1.0]))
-        assert np.allclose(pos.mean(axis=0), [2, 3])
-        # a stack of centroids and axes gives one line per row
-        stacked = _line(5, np.array([[2.0, 3.0], [0.0, 0.0]]),
-                        np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert stacked.shape == (2, 5, 2)
-        assert np.array_equal(stacked[0], pos)
 
     def test_rejects_zero_elements(self):
         for n_a, n_p in ((0, 8), (4, 0)):
@@ -132,10 +117,11 @@ class TestLayout:
                                               ("end", False),
                                               ("end", True)])
     def test_feeders_are_rigid_unit_lines(self, feed, tilted):
-        # every feeder is a line of unit spacing centered at height f,
+        # every feeder is a line of unit spacing centered at (x0, f),
         # facing a unit boresight orthogonal to the line
         for n_a, n_p in ((2, 1), (3, 8), (4, 128), (16, 5)):
             f = np.geomspace(0.5, 4000.0, 97) + n_a
+            x0 = -(n_p - 1) / 2.0 if feed == "end" else 0.0
             _, up, feeders, bores = _layout(n_a, n_p, f, feed, tilted)
             assert np.array_equal(up, [0.0, 1.0])
             assert feeders.shape == (f.size, n_a, 2)
@@ -144,7 +130,39 @@ class TestLayout:
             assert np.allclose(np.linalg.norm(bores, axis=1), 1.0,
                                atol=1e-15)
             assert np.allclose(np.sum(axis * bores, axis=1), 0.0, atol=1e-12)
-            assert np.allclose(feeders.mean(axis=1)[:, 1], f, rtol=1e-12)
+            centroids = feeders.mean(axis=1)
+            assert np.allclose(centroids[:, 0], x0, rtol=0, atol=1e-12)
+            assert np.allclose(centroids[:, 1], f, rtol=1e-12)
+            # a one-element feeder sits at its centroid exactly
+            one = _layout(1, n_p, f, feed, tilted)[2]
+            assert one.shape == (f.size, 1, 2)
+            assert np.array_equal(one[:, 0], np.column_stack(
+                [np.full_like(f, x0), f]))
+
+    @pytest.mark.parametrize("feed, tilted", [("center", False),
+                                              ("end", False),
+                                              ("end", True)])
+    @pytest.mark.parametrize("n_a", [1, 2, 3, 128, 1024])
+    @pytest.mark.parametrize("n_p", [1, 2, 3, 128, 1024])
+    def test_flat_layouts_hold_the_offset_build_premises(self, n_a, n_p,
+                                                         feed, tilted):
+        # exactly what coupling._offset_geometry assumes of a flat layout
+        f = np.array([1e-300, 0.5, 8.0, 1e6])
+        surface, up, feeders, bores = _layout(n_a, n_p, f, feed, tilted)
+        flat = not tilted or n_p == 1
+        assert up[0] == 0.0 and bores[:, 0].any() != flat
+        if not flat:
+            return
+        for x in (surface[:, 0], feeders[..., 0]):
+            # a multiple of 1/2 below 2**51, one unit step along the array
+            assert (np.floor(2.0 * x) == 2.0 * x).all()
+            assert (np.abs(x) < 2.0 ** 51).all()
+            assert (np.diff(x, axis=-1) == 1.0).all()
+        assert (surface[:, 1] == 0.0).all()
+        assert (feeders[..., 1] == f[:, None]).all()
+        # a zero x-component, -0.0 for a tilted feed over one element
+        assert (bores[:, 0] == 0.0).all()
+        assert (np.signbit(bores[:, 0]) == tilted).all()
 
 
 def per_element_clear(n_a, n_p, f):
@@ -183,7 +201,6 @@ class TestClearance:
     def test_rule_scan_and_end_feed_agree_per_element(self, n_a, n_p):
         f = straddling_f(n_a, n_p)
         want = per_element_clear(n_a, n_p, f)
-        assert _clears(n_a, n_p, f, "end", True).tolist() == want
         z = _layout(n_a, n_p, f, "end", True)[2][..., 1]
         assert (z > 0).all(axis=1).tolist() == want
         scanned = {i for index, *_ in _stacks(n_a, n_p, "end", True,
@@ -202,16 +219,17 @@ class TestClearance:
             assert any(want) and not all(want)
 
     def test_end_feed_x0_is_the_first_surface_element(self):
-        # bit for bit, sign of zero included: +0.0 at N_p = 1
+        # a one-element tilted end feeder sits at the first surface
+        # element's x, bit for bit, sign of zero included: +0.0 at N_p = 1
         for n_p in range(1, 1025):
-            x0, _, _ = _rotation(n_p, np.array([8.0]), "end", True)
-            assert (np.float64(x0).tobytes()
-                    == _surface(n_p)[0, 0].tobytes()), n_p
+            surface, _, feeders, _ = _layout(1, n_p, np.array([8.0]), "end",
+                                             True)
+            assert feeders[0, 0, 0].tobytes() == surface[0, 0].tobytes(), n_p
 
     def test_untilted_feeders_always_clear(self):
         f = np.array([1e-300, 1e-9, 0.5, 8.0, 1e300])
         for feed in ("center", "end"):
-            assert _clears(1024, 1024, f, feed, False).all()
+            assert (_layout(1024, 1024, f, feed, False)[2][..., 1] > 0).all()
 
 
 class TestScenario:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from risfeed.geometry import _clears, _layout, make_center_feed, make_end_feed
+from risfeed.geometry import _layout, make_center_feed, make_end_feed
 from risfeed.cli import mode_report
 from risfeed.coupling import _T_stack, build_T
 from risfeed.modes import (BeamVector, svd_modes, mode_metrics,
@@ -128,7 +128,8 @@ class TestSvdStack:
                                               ("end", False),
                                               ("end", True)])
     def test_bits_match_plain_svd(self, n_a, n_p, feed, tilted):
-        f = self.F[_clears(n_a, n_p, self.F, feed, tilted)]
+        z = _layout(n_a, n_p, self.F, feed, tilted)[2][..., 1]
+        f = self.F[(z > 0).all(axis=1)]
         assert_plain_svd_bits(_T_stack(*_layout(n_a, n_p, f, feed, tilted),
                                        f))
 

@@ -409,6 +409,13 @@ class TestBatchedMinSll:
         assert len(shared) == 81 and None not in late.values()
         assert [late[f] for f in shared] == [full[f] for f in shared]
 
+    def test_chunks_follow_the_f_list(self):
+        # chunks are cut from the f list, then the f that do not clear
+        # are dropped: the first chunk's one clear f is a stack of its own
+        f_values = [0.1 + 0.0352 * i for i in range(141)]
+        assert [index for index, *_ in _stacks(16, 8, "end", True, f_values)
+                ] == [[127], list(range(128, 141))]
+
 
 def stacked_scan(monkeypatch, n_a, n_p, feed, tilted, beam, f_values):
     """The (index, T entries, sigma, V) points of a scan's stacks, and the

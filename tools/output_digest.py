@@ -25,8 +25,10 @@ and 4 x 160 and a flat one-element-feeder table, tables padded with
 ``nan`` sigma cells for N_a < 4, and a feeder wider than its surface,
 whose zero sigma gives ``-inf``/``inf`` table cells and ``null`` report
 values, tilted end feeds over a one-element surface, with a one-element
-and an odd-sized feeder, and one whose feeder reaches the surface, scans
-with a one-element feeder, tilted and flat, a scan in stacks at the
+and an odd-sized feeder, and one whose feeder reaches the surface, a tilted
+scan whose first chunk of the f list holds one clear f, a tilted table
+of unsorted f whose middle f reach the surface, scans with a
+one-element feeder, tilted and flat, a scan in stacks at the
 2^20-entry cap, an angle grid whose cells hold exact ``%.6f`` ties, a
 36,001-row surface pattern, a tilted 16-element scan of 64 f, scans of
 one full stack of 128 f and of 129 f, whose last stack has one column, a
@@ -141,7 +143,14 @@ EDGE = [
     "sweep-f --na 3 --np 8 --feed end --tilted --f-min 0.25 --f-max 4 "
     "--f-step 0.25 --objective max_power",
     # a tilted feeder that reaches the surface: no file, exit 2
-    "analyze --na 16 --np 8 --f 1 --feed end --tilted"] + [
+    "analyze --na 16 --np 8 --f 1 --feed end --tilted",
+    # scans cut in chunks of the f list before the f that reach the
+    # surface are dropped: the first chunk of 128 f holds one clear f,
+    # f = 4.5704, whose stack's product has one column; and a table of
+    # unsorted f whose middle f reach the surface
+    "sweep-f --na 16 --np 8 --feed end --tilted --f-min 0.1 "
+    "--f-max 5.028 --f-step 0.0352 --beam nonpem --objective min_sll",
+    "table --na 16 --np 8 --f 8,1,16,2,4.6 --feed end --tilted"] + [
     # one-element feeders: each stack's principal vectors are (F, 1); a
     # flat one is built per offset, its N_p offsets being its pairs
     f"sweep-f --na 1 --np 32 --feed end {tilt}--f-min 2 --f-max 40 "
