@@ -8,6 +8,8 @@ matrix; a beam focused on a target therefore peaks at the target's
 physical angle.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,13 +54,13 @@ def steering_vector(n, theta):
 # the current grid, element-major: row k depends on k and theta only,
 # so an n-element array uses the first n rows (a contiguous view, no
 # copy) and feeder and surface curves on one grid share a single
-# matrix. One matrix is held, at most 590 MB at the CLI caps (1024
-# elements x 36001 angles); the cell's tuple is replaced whole, never
-# edited. The product with k weight columns peaks at 24 * k bytes per
-# angle (the complex field and the dB buffer it fills; the dB rows and
-# their peak-normalized copy hold 16 * k once it is freed): 5.5 MB for a
-# sweep-f stack of 128 on the 1801-angle broadside half of the default
-# grid, whose steering matrix is 3.7 MB at 128 elements.
+# matrix. Only pattern files read it (a sweep-f scan has its own
+# tables, _half_grid_tables). One matrix is held, at most 590 MB at the
+# CLI caps (1024 elements x 36001 angles); the cell's tuple is replaced
+# whole, never edited. The product with k weight columns peaks at
+# 24 * k bytes per angle (the complex field and the dB buffer it fills;
+# the dB rows and their peak-normalized copy hold 16 * k once it is
+# freed).
 _NO_ROWS = np.empty((0, 0), dtype=complex)
 _steering = [(np.empty(0), _NO_ROWS, np.empty(0))]
 
@@ -113,6 +115,68 @@ def _patterns(W, angles_deg):
     np.log10(power, out=power)
     power *= 10.0
     return angles_deg, power, power - power.max(axis=1, keepdims=True)
+
+
+@functools.lru_cache(maxsize=1)
+def _half_grid_tables(n):
+    """cos and sin(pi a u) * sqrt(E(theta)) over the broadside half of
+    the default grid, u = sin(theta), at an n-element array's centred
+    offsets a = k - (n - 1) / 2 >= 0: one cosine row for each
+    k >= n // 2 (at an odd n the middle element first, a = 0) and one
+    sine row for each k >= n - n // 2. Read-only; held for the last n
+    (1.8 MB at 128 elements, 15 MB at 1024).
+
+    a u is reduced mod 2 exactly before pi multiplies it, so each phase
+    is off by a few eps, not eps |pi a u| (up to 1600 eps at 1024
+    elements, enough to move a deep sidelobe by 1e-12 dB): u splits into
+    a head of 52 - bit_length(n - 1) fraction bits, whose product with
+    a, a multiple of 1/2 below n / 2, is exact and so is its fmod, and a
+    tail of at most 2^-43 at 1024 elements, whose product rounds by eps
+    of itself."""
+    grid = default_grid()
+    theta = np.radians(grid[grid.size // 2:])
+    root_gain = np.sqrt(element_gain(theta))
+    u = np.sin(theta)
+    scale = 2.0 ** (52 - (n - 1).bit_length())
+    head = np.round(u * scale) / scale
+    a = np.arange(n // 2, n) - (n - 1) / 2
+    phase = np.fmod(np.multiply.outer(a, head), 2.0)
+    phase += np.multiply.outer(a, u - head)
+    phase *= np.pi
+    tables = np.cos(phase), np.sin(phase[n % 2:])
+    for table in tables:
+        table *= root_gain
+        table.flags.writeable = False
+    return tables
+
+
+def _surface_sll(X):
+    """sidelobe_level of the pattern of each real, nonnegative surface
+    excitation, a row of X, on the broadside half of the default grid,
+    from the excitation's centred form: with c = (n - 1) / 2, the
+    mirrored sums s and differences d of elements k and n - 1 - k give
+    |sum_k x_k exp(-j pi k u)|^2 = (sum s cos(pi a u))^2
+    + (sum d sin(pi a u))^2 over a = k - c >= 0, the middle element of
+    an odd n joining the cosine sum. Two real products of half the
+    width give the power rows, floored at _POWER_FLOOR and walked as
+    they are (log10 is monotone, so the lobes are the dB rows' lobes),
+    and each value is 10 log10 of the sidelobe's power over the peak's.
+    Rows scaled to a peak in [0.5, 1), which is exact, put the floor
+    more than 300 dB below every pattern's peak at any f."""
+    n = X.shape[1]
+    h = n // 2
+    lower, upper = X[:, :h][:, ::-1], X[:, n - h:]
+    cos, sin = _half_grid_tables(n)
+    power = np.concatenate([X[:, h:n - h], upper + lower], axis=1) @ cos
+    im = (upper - lower) @ sin
+    power *= power
+    im *= im
+    power += im
+    del im
+    np.maximum(power, _POWER_FLOOR, out=power)
+    peaks = power.max(axis=1).tolist()
+    return [None if side is None else 10.0 * math.log10(side / peak)
+            for side, peak in zip(_sidelobe_levels(power), peaks)]
 
 
 def _curve(W, angles_deg):

@@ -10,22 +10,22 @@ from .coupling import _T_stack, build_T
 from .modes import (ModeMetrics, _fix_phase, _svd_stack, mode_metrics,
                     svd_modes)
 # ris_pattern is not called here, but bench/selftest.py wraps this binding
-from .patterns import (_patterns, _sidelobe_levels,  # noqa: F401
-                       default_grid, ris_pattern)
+from .patterns import _surface_sll, ris_pattern  # noqa: F401
 
 OBJECTIVES = ("max_power", "min_sll", "min_profile_variation")
 # the most consecutive f of a scan's f list in one chunk, whose f that
 # clear the surface it analyzes as one stack: one T build, one SVD, then
-# table metrics or one excitation product and, for min_sll, one
-# steering-matrix product and one sidelobe walk. A chunk is narrower
-# where it would hold more than 2**20 T entries, as one T at the CLI
-# caps does: one f at 1024 x 1024. A scan holds one stack, never the
-# whole scan: a min_sll product on the broadside half of the default
-# grid, 1801 angles, peaks at 5.5 MB (3.5 MB at 81 f). Per column on
-# that half (2-core Xeon, numpy 2.4.6, BLAS on one thread), the product
-# with its dB rows and walk costs 45-65 us at widths 16-128 against
-# 320 us alone at N_p = 128, and 0.35 ms at 16, 0.2 ms at 64, 0.17 ms
-# at 128 against 1.7-1.9 ms alone at N_p = 1024
+# table metrics or one excitation product and, for min_sll, one pair of
+# half-width cosine and sine products and one sidelobe walk. A chunk is
+# narrower where it would hold more than 2**20 T entries, as one T at
+# the CLI caps does: one f at 1024 x 1024. A scan holds one stack, never
+# the whole scan: the min_sll products on the broadside half of the
+# default grid, 1801 angles, hold 3.7 MB of power rows (2.3 MB at 81 f)
+# beside tables of 1.8 MB at N_p = 128. Per column on that half (2-core
+# Xeon, numpy 2.4.6, BLAS on one thread), the products with their walk
+# cost 31-34 us at widths 16-128 against 105 us alone at N_p = 128, and
+# 180 us at 16, 120 us at 64, 95 us at 128 against 730 us alone at
+# N_p = 1024
 _CHUNK = 128
 
 
@@ -104,34 +104,29 @@ def _stacks(n_a, n_p, feed_style, tilted, f_values):
 
 def _score(objective, X):
     """The objective value of each surface excitation, a row of X; None
-    where undefined. min_sll scores the peak-normalized dB rows of the
-    stack's surface patterns, from one steering-matrix product over the
-    broadside half of the default grid, in one stacked walk: the grid is
-    antisymmetric and the weights real and nonnegative, so each pattern
-    is even and peaks at broadside, and the walk down one flank finds the
-    full row's sidelobe. An all-zero excitation (T underflows to zero at
-    a tiny f) has a power, 0, but no profile variation or pattern.
-    Profile variation takes each row scaled by the power of two of its
-    peak, which is exact, so the squares in std cannot underflow at a
-    tiny f; a row whose peak is subnormal has too few digits and no
-    profile variation."""
+    where undefined. min_sll and profile variation take each row scaled
+    by the power of two of its peak, which is exact, so neither the
+    squares in std nor the pattern's power floor reach a row at a tiny
+    f; a row whose peak is zero (T underflows to zero at a tiny f) or
+    subnormal has too few digits, and no profile variation or sidelobe,
+    though it has a power. min_sll scores the stack's surface patterns
+    on the broadside half of the default grid (_surface_sll): the grid
+    is antisymmetric and the weights real and nonnegative, so each
+    pattern is even and peaks at broadside, and the walk down one flank
+    finds the full row's sidelobe."""
     if objective == "max_power":
         return [float(np.linalg.norm(x) ** 2) for x in X]
     mags = np.abs(X)
     peak = mags.max(axis=1)
+    live = np.flatnonzero(peak >= np.finfo(float).tiny)
     values = [None] * len(mags)
-    if objective == "min_profile_variation":
-        _, exponent = np.frexp(peak)
-        for i in np.flatnonzero(peak >= np.finfo(float).tiny):
-            row = np.ldexp(mags[i], -exponent[i])
-            values[i] = float(np.std(row) / np.mean(row))
-        return values
-    live = np.flatnonzero(peak)
     if live.size:
-        grid = default_grid()
-        _, _, power_norm_db = _patterns(mags[live].T, grid[grid.size // 2:])
-        for i, sll in zip(live, _sidelobe_levels(power_norm_db)):
-            values[i] = sll
+        _, exponent = np.frexp(peak[live])
+        rows = np.ldexp(mags[live], -exponent[:, None])
+        scores = (_surface_sll(rows) if objective == "min_sll"
+                  else [float(np.std(row) / np.mean(row)) for row in rows])
+        for i, value in zip(live, scores):
+            values[i] = value
     return values
 
 

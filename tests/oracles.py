@@ -5,7 +5,9 @@ one-sided Jacobi working directly on the rectangular matrix, the
 one-element feeder's power is an exact sum over scalar geometry, which
 needs neither T nor an SVD, and the sidelobe oracle walks the sampled
 curve one sample at a time, the loop that the package's array
-comparisons replaced. The CSV writers below are the package's former
+comparisons replaced; longdouble_half_grid_sll sums each surface
+pattern directly in long double and walks it with that loop. The CSV
+writers below are the package's former
 per-row csv.writer bodies, the byte-for-byte reference for its
 block-formatted writers, and reference_T_stack is the package's former
 propagation kernel, the bit-for-bit reference for its in-place one.
@@ -26,6 +28,7 @@ import pytest
 from risfeed.coupling import _T_stack
 from risfeed.geometry import _layout
 from risfeed.modes import BeamVector
+from risfeed.patterns import default_grid
 from risfeed.sweep import _beam_for, analyze_point
 
 
@@ -170,9 +173,11 @@ def brute_force_sidelobe(angles_deg, power_db, relative=True):
 
     Walks outward from the global maximum to the flanking local minima,
     then returns the largest sample beyond them, less the peak unless
-    relative is False; None for a single lobe.
+    relative is False; None for a single lobe. A long double curve keeps
+    its precision and gives a np.longdouble.
     """
-    y = np.asarray(power_db, dtype=float)
+    y = np.asarray(power_db)
+    y = y.astype(np.longdouble if y.dtype == np.longdouble else float)
     k = int(np.argmax(y))
     lo = k
     while lo > 0 and y[lo - 1] <= y[lo]:
@@ -183,7 +188,37 @@ def brute_force_sidelobe(angles_deg, power_db, relative=True):
     outside = np.concatenate([y[:lo], y[hi + 1:]])
     if outside.size == 0:
         return None
-    return float(outside.max() - (y[k] if relative else 0.0))
+    value = outside.max() - (y[k] if relative else 0)
+    return value if y.dtype == np.longdouble else float(value)
+
+
+LONG_PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def longdouble_half_grid_sll(X):
+    """min_sll of each real excitation, a row of X, as a long double
+    reference: the power |sum_k x_k exp(-j pi (k - c) u)|^2 * 4 cos^2(theta),
+    c = (n - 1) / 2, summed directly in np.longdouble over the broadside
+    half of the default grid (theta the package's float radians of each
+    angle, u its long double sine; the centring phase leaves the power
+    unchanged and halves the largest phase), walked by
+    brute_force_sidelobe; 10 log10 of the sidelobe's power over the
+    peak's, or None for a single lobe."""
+    X = np.asarray(X, dtype=float)
+    grid = default_grid()
+    theta = np.radians(grid[grid.size // 2:]).astype(np.longdouble)
+    offsets = np.arange(X.shape[1], dtype=np.longdouble) - (
+        np.longdouble(X.shape[1] - 1) / 2)
+    phase = LONG_PI * np.multiply.outer(offsets, np.sin(theta))
+    rows = X.astype(np.longdouble)
+    power = (rows @ np.cos(phase)) ** 2 + (rows @ np.sin(phase)) ** 2
+    power *= 4 * np.cos(theta) ** 2
+    values = []
+    for row in power:
+        side = brute_force_sidelobe(theta, row, relative=False)
+        values.append(None if side is None
+                      else 10 * np.log10(side / row.max()))
+    return values
 
 
 def csv_write_pattern(curve, path):

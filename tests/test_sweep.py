@@ -1,14 +1,9 @@
 import filecmp
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import risfeed
 from risfeed.cli import write_table_csv, write_trace_csv
 from risfeed.geometry import Scenario
 from risfeed.modes import _fix_phase
@@ -17,7 +12,7 @@ from risfeed.patterns import (_patterns, default_grid, ris_pattern,
 from risfeed.sweep import (OBJECTIVES, _CHUNK, run_grid, optimize_f,
                            analyze_point, _beam_for, _stacks)
 
-from oracles import analyze_or_none, feeder_beam
+from oracles import analyze_or_none, feeder_beam, longdouble_half_grid_sll
 
 # feed styles analyze_point does not know: it builds only "end" (tilted
 # or not) and untilted "center"
@@ -291,6 +286,15 @@ class TestOptimizeF:
         assert trace[0] == (1e-160, None)
         assert best == 60.0
 
+    def test_min_sll_at_tiny_f(self):
+        # the excitation scales as f^2 at a tiny f, and so does its
+        # pattern's power: unscaled, the power fell under the absolute
+        # floor, and min_sll was undefined from f = 3e-8 down
+        f_values = [1e-150, 1e-60, 3e-8, 1e-7, 60.0]
+        _, trace = optimize_f(4, 127, "center", False, "pem", f_values)
+        assert [value for _, value in trace[:4]] == pytest.approx(
+            [-31.5243963167] * 4, rel=0, abs=1e-10)
+
     def test_no_feasible_point_raises(self):
         with pytest.raises(RuntimeError, match="undefined at every grid"):
             optimize_f(16, 8, "end", True, "nonpem", [1.0, 2.0, 3.0])
@@ -313,36 +317,79 @@ def single_curve_sll(n_a, n_p, feed, tilted, beam, f):
         ris_pattern(T, feeder_beam(modes, beam)).power_norm_db)
 
 
+def scan_excitations(n_a, n_p, feed, tilted, beam, f_values):
+    """The surface excitation magnitudes that optimize_f scores, one row
+    per f of the scan; None where the feeder reaches the surface."""
+    rows = [None] * len(f_values)
+    for index, M, _, Vh in _stacks(n_a, n_p, feed, tilted, f_values):
+        v1 = _fix_phase(Vh)[0][:, :, 0]
+        X = np.matmul(M, _beam_for(v1, beam)[..., None])
+        for i, x in zip(index, np.abs(X[..., 0])):
+            rows[i] = x
+    return rows
+
+
+def scan_values(n_a, n_p, feed, tilted, beam, f_values):
+    """optimize_f's min_sll values; all None where no f has a sidelobe."""
+    try:
+        _, trace = optimize_f(n_a, n_p, feed, tilted, beam, f_values)
+    except RuntimeError:
+        return [None] * len(f_values)
+    return [val for _, val in trace]
+
+
+def near(got, want, bound):
+    """Whether two min_sll values are both undefined, or differ by at most
+    bound * eps * 10^(-sll/20) dB: a rounding of a few eps of the peak
+    field is eps * 10^(-sll/20) of a sidelobe sll dB down."""
+    if got is None or want is None:
+        return got is want
+    return abs(got - want) <= bound * np.finfo(float).eps * 10 ** (-want / 20)
+
+
+F160 = [4.0 + 0.5 * i for i in range(160)]
+F8 = [2.0 * 1.8 ** i for i in range(8)]
+
+# the worst measured over TestLongDoubleSll's scans is 6.41, and 6.89
+# over the (4, 32) center and tilted scans of 160 f, the (16, 8) tilted
+# scan and a (16, 1024) tilted one
+LONG_DOUBLE_BOUND = 7
+
+
 def half_grid_mismatches():
-    """The scans whose min_sll values from optimize_f differ from
-    sidelobe_level of the full-grid _patterns rows of the same _stacks
-    weights: center, end and tilted-end feeds, both beams, N_a 1, 4 and
-    16 and N_p 1, 2, 127 and 1024, each over 8 f in one stack and over
-    one f, a one-column product."""
-    scans = list(itertools.product(
+    """The scans whose min_sll values from optimize_f are undefined at
+    other f than sidelobe_level of the full-grid _patterns rows of the
+    same excitations, or differ from them by more than 32 eps
+    10^(-sll/20) dB: center, end and tilted-end feeds, both beams, N_a
+    1, 4 and 16 and N_p 1, 2, 127 and 1024, each over 8 f in one stack
+    and over one f. A full-grid value itself further than that from the
+    long double sum instead holds the scan's value to LONG_DOUBLE_BOUND
+    of the long double sum: the steering-matrix product rounds each
+    phase pi k u by eps of itself, and reads up to 523 eps 10^(-sll/20)
+    off on center-feed scans at N_p 1024."""
+    scans = itertools.product(
         (1, 4, 16), (1, 2, 127, 1024),
         [("center", False), ("end", False), ("end", True)],
-        ("pem", "nonpem"), ([2.0 * 1.8 ** i for i in range(8)], [60.0])))
-    # every half-grid scan first: the steering memo holds one grid
-    got = []
-    for n_a, n_p, (feed, tilted), beam, f_values in scans:
-        try:
-            _, trace = optimize_f(n_a, n_p, feed, tilted, beam, f_values)
-            got.append([val for _, val in trace])
-        except RuntimeError:     # no f has a sidelobe
-            got.append([None] * len(f_values))
+        ("pem", "nonpem"), (F8, [60.0]))
     grid = default_grid()
     mismatches = []
-    for scan, values in zip(scans, got):
+    for scan in scans:
         n_a, n_p, (feed, tilted), beam, f_values = scan
+        rows = scan_excitations(n_a, n_p, feed, tilted, beam, f_values)
+        live = [i for i, x in enumerate(rows) if x is not None]
         want = [None] * len(f_values)
-        for index, M, _, Vh in _stacks(n_a, n_p, feed, tilted, f_values):
-            v1 = _fix_phase(Vh)[0][:, :, 0]
-            X = np.matmul(M, _beam_for(v1, beam)[..., None])
-            _, _, rows = _patterns(np.abs(X[..., 0]).T, grid)
-            for i, row in zip(index, rows):
+        if live:
+            _, _, dB = _patterns(np.column_stack([rows[i] for i in live]),
+                                 grid)
+            for i, row in zip(live, dB):
                 want[i] = sidelobe_level(row)
-        if values != want:
+        got = scan_values(n_a, n_p, feed, tilted, beam, f_values)
+        far = [i for i in live if not near(got[i], want[i], 32)]
+        exact = longdouble_half_grid_sll([rows[i] for i in far]) if far else []
+        if ([g is None for g in got] != [w is None for w in want]
+                or any(near(want[i], e, 32)
+                       or not near(got[i], e, LONG_DOUBLE_BOUND)
+                       for i, e in zip(far, exact))):
             mismatches.append(scan)
     return mismatches
 
@@ -379,23 +426,10 @@ class TestBatchedMinSll:
         assert best == min(defined, key=lambda row: row[1])[0]
 
     def test_half_grid_equals_full_grid(self):
-        # min_sll scans the broadside half of the grid and must score
-        # what the full grid scores. BLAS runs on one thread, as the
-        # bench harness runs it: a threaded one-column product splits the
-        # half and the full grid at other angles and may round the
-        # broadside sample, and with it every normalized sample,
-        # differently
-        tests = Path(__file__).resolve().parent
-        src = str(Path(risfeed.__file__).resolve().parent.parent)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        child = subprocess.run(
-            [sys.executable, "-c",
-             "import test_sweep; print(test_sweep.half_grid_mismatches())"],
-            cwd=tests, env=env, check=True, capture_output=True, text=True)
-        assert child.stdout == "[]\n"
+        # min_sll scans the broadside half of the grid with the centred
+        # product and must score what the full grid's steering-matrix
+        # rows score, to rounding
+        assert half_grid_mismatches() == []
 
     def test_value_does_not_depend_on_chunk_boundaries(self):
         # starting at f = 60 moves 8 defined points from the second
@@ -415,6 +449,40 @@ class TestBatchedMinSll:
         f_values = [0.1 + 0.0352 * i for i in range(141)]
         assert [index for index, *_ in _stacks(16, 8, "end", True, f_values)
                 ] == [[127], list(range(128, 141))]
+
+
+class TestLongDoubleSll:
+    """min_sll against direct sums of the pattern power in long double
+    on the same half grid, walked by the brute-force sidelobe scan."""
+
+    @pytest.mark.parametrize("beam", ["pem", "nonpem"])
+    @pytest.mark.parametrize("feed,tilted", [
+        ("center", False), ("end", False), ("end", True)],
+        ids=["center", "end", "end-tilted"])
+    @pytest.mark.parametrize("n_p,f_values", [
+        (1, F8), (2, F8), (3, F8), (127, F8), (128, F8),
+        (1024, [7.0, 60.0, 500.0])],
+        ids=["np1", "np2", "np3", "np127", "np128", "np1024"])
+    def test_scan_matches_long_double_sums(self, n_p, f_values, feed,
+                                           tilted, beam):
+        self.check(4, n_p, feed, tilted, beam, f_values)
+
+    def test_one_f_at_1024(self):
+        # a one-column product; the steering-matrix product was 2.5e-9 dB
+        # off here, 580 eps * 10^(-sll/20)
+        self.check(4, 1024, "center", False, "pem", [7.0])
+
+    @staticmethod
+    def check(n_a, n_p, feed, tilted, beam, f_values):
+        rows = scan_excitations(n_a, n_p, feed, tilted, beam, f_values)
+        live = [i for i, x in enumerate(rows) if x is not None]
+        want = [None] * len(f_values)
+        for i, value in zip(live, longdouble_half_grid_sll(
+                [rows[i] for i in live])):
+            want[i] = value
+        got = scan_values(n_a, n_p, feed, tilted, beam, f_values)
+        assert all(near(g, w, LONG_DOUBLE_BOUND)
+                   for g, w in zip(got, want, strict=True))
 
 
 def stacked_scan(monkeypatch, n_a, n_p, feed, tilted, beam, f_values):
@@ -442,7 +510,6 @@ def stacked_scan(monkeypatch, n_a, n_p, feed, tilted, beam, f_values):
     return points, weights, excitations
 
 
-F160 = [4.0 + 0.5 * i for i in range(160)]
 
 
 class TestStackedScan:

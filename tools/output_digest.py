@@ -1,15 +1,21 @@
 """Print a sha256 digest of the output file of every command in a fixed list.
 
-    python3 tools/output_digest.py > digests.txt
+    python3 tools/output_digest.py > tools/output_digest.txt
 
 Run from any directory; the package is imported from ``src/`` of the
 checkout that holds this script, and every command runs in this one
 process through ``risfeed.cli.main``, with BLAS on one thread (a
-threaded product may round a pattern differently). Each line reads
-``<sha256>  <argv>``, ``exit <code>  <argv>`` for a command that
-writes no file, or ``raise <exception>  <argv>`` for one that raises out
-of ``main``. Two checkouts give the same outputs exactly when a
-``diff`` of their two listings is empty.
+threaded product may round a pattern differently). The listing opens
+with ``#`` lines naming what the bytes depend on beyond the source:
+numpy's version, the BLAS library and its version, and the BLAS thread
+count. Each further line reads ``<sha256>  <argv>``, ``exit <code>
+<argv>`` for a command that writes no file, or ``raise <exception>
+<argv>`` for one that raises out of ``main``. Two checkouts give the
+same outputs exactly when a ``diff`` of their two listings is empty.
+``tools/output_digest.txt`` is the listing of the checked-in source,
+which ``tests/test_output_digest.py`` compares line by line; a change
+that moves output bytes rewrites it, and its diff lists the moved
+commands.
 
 The list holds the README commands, ``sweep-f`` for every objective and
 beam (on scans with undefined and with tied rows, and on one in stacks
@@ -60,6 +66,8 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
 from risfeed.cli import main  # noqa: E402
 
 README = [
@@ -105,8 +113,8 @@ EDGE = [
     for cmd in ("analyze", "table", "pattern", "profile")] + [
     f"pattern --array ris --np {n_p} --f 100" for n_p in (256, 512, 1024)
 ] + [
-    # a 200-row steering matrix on the default grid, then a min_sll scan
-    # whose real product reads its first 128 rows
+    # a 200-row steering matrix on the default grid, then a min_sll scan,
+    # which has tables of its own and leaves that matrix in place
     "pattern --array ris --np 200 --f 80",
     "sweep-f --np 128 --f-min 60 --f-max 140 --objective min_sll",
     # feeder patterns whose end cells at +/-90 degrees carry the element
@@ -206,6 +214,11 @@ EDGE = [
     f"sweep-f --np 127 --feed center --f-min 1e-300 --f-max 120 "
     f"--f-step 60 --objective {objective}"
     for objective in ("max_power", "min_sll", "min_profile_variation")] + [
+    # excitations near 1e-15 and 1e-120, whose pattern power lies far
+    # below the absolute power floor: min_sll takes each excitation
+    # scaled by the power of two of its peak
+    f"sweep-f --np 127 --feed center --f-min {f} --f-max 120 --f-step 60 "
+    "--objective min_sll" for f in ("3e-8", "1e-60")] + [
     # an excitation near 1e-164, whose squares underflow: its profile
     # variation is taken from the row scaled by a power of two
     "sweep-f --np 127 --feed center --f-min 1e-82 --f-max 120 --f-step 60 "
@@ -254,7 +267,17 @@ def digest(argv, out):
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def provenance():
+    """The listing's header: numpy, the BLAS library and version, and
+    the BLAS thread count this tool pins."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"# numpy {np.__version__}",
+            f"# blas {blas['name']} {blas['version']}",
+            f"# blas threads {os.environ['OPENBLAS_NUM_THREADS']}"]
+
+
 def run():
+    print("\n".join(provenance()))
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         for argv in commands():
