@@ -23,8 +23,8 @@ OBJECTIVES = ("max_power", "min_sll", "min_profile_variation")
 # default grid, 1801 angles, hold 3.7 MB of power rows (2.3 MB at 81 f)
 # beside tables of 1.8 MB at N_p = 128. Per column on that half (2-core
 # Xeon, numpy 2.4.6, BLAS on one thread), the products with their walk
-# cost 31-34 us at widths 16-128 against 105 us alone at N_p = 128, and
-# 180 us at 16, 120 us at 64, 95 us at 128 against 730 us alone at
+# cost 22-32 us at widths 16-128 against 130 us alone at N_p = 128, and
+# 155-175 us at 16 and 95-115 us at 64-128 against 800-850 us alone at
 # N_p = 1024
 _CHUNK = 128
 

@@ -177,7 +177,8 @@ def brute_force_sidelobe(angles_deg, power_db, relative=True):
     its precision and gives a np.longdouble.
     """
     y = np.asarray(power_db)
-    y = y.astype(np.longdouble if y.dtype == np.longdouble else float)
+    y = np.asarray(y, dtype=np.longdouble if y.dtype == np.longdouble
+                   else float)
     k = int(np.argmax(y))
     lo = k
     while lo > 0 and y[lo - 1] <= y[lo]:
