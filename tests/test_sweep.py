@@ -469,7 +469,7 @@ class TestLongDoubleSll:
 
     def test_one_f_at_1024(self):
         # a one-column product; the steering-matrix product was 2.5e-9 dB
-        # off here, 580 eps * 10^(-sll/20)
+        # off here, about 590 eps * 10^(-sll/20)
         self.check(4, 1024, "center", False, "pem", [7.0])
 
     @staticmethod
