@@ -28,8 +28,8 @@ from .patterns import (amaf_pattern, ris_pattern, ris_excitation,
 
 # most angle or f samples one command may scan: 0.005 deg over [-90, 90]
 MAX_GRID_POINTS = 36001
-# most elements in either array; a pattern on the finest grid then needs
-# a 36001 x 1024 complex steering matrix (590 MB)
+# most elements in either array; a pattern of 1024 elements on the
+# finest grid peaks at about 49 MB (patterns._field's blocks)
 MAX_ARRAY_SIZE = 1024
 
 

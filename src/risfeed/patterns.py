@@ -1,11 +1,11 @@
 """Far-field radiation patterns and surface excitation profiles.
 
 Pattern angles are measured from the array boresight, positive toward
-the array's +axis direction. The steering vector is stored conjugated so
-that its plain dot product with an excitation gives the far-field sum
-consistent with the exp(+j*pi*r) propagation phase used in the coupling
-matrix; a beam focused on a target therefore peaks at the target's
-physical angle.
+the array's +axis direction. The far-field sum of an excitation w is
+sum_k w_k exp(-j pi k sin(theta)), consistent with the exp(+j pi r)
+propagation phase used in the coupling matrix, so a beam focused on a
+target peaks at the target's physical angle; one stateless evaluator,
+_field, sums it for any weights and angles.
 """
 
 import functools
@@ -40,54 +40,44 @@ class PatternCurve:
     power_norm_db: np.ndarray
 
 
-def steering_vector(n, theta):
-    """Conjugated uniform-array steering vector for angle theta (radians).
-
-    An array of angles gives one column per angle, element k in row k.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return np.exp(-1j * np.pi * np.multiply.outer(np.arange(n), np.sin(theta)))
-
-
-# (theta, steering matrix, element gain) for the widest array drawn on
-# the current grid, element-major: row k depends on k and theta only,
-# so an n-element array uses the first n rows (a contiguous view, no
-# copy) and feeder and surface curves on one grid share a single
-# matrix. Only pattern files read it (a sweep-f scan has its own
-# tables, _half_grid_tables). One matrix is held, at most 590 MB at the
-# CLI caps (1024 elements x 36001 angles); the cell's tuple is replaced
-# whole, never edited. The product with k weight columns peaks at
-# 24 * k bytes per angle (the complex field and the dB buffer it fills;
-# the dB rows and their peak-normalized copy hold 16 * k once it is
-# freed).
-_NO_ROWS = np.empty((0, 0), dtype=complex)
-_steering = [(np.empty(0), _NO_ROWS, np.empty(0))]
-
-
-def _steering_rows(n, theta):
-    """The first n rows of the steering matrix at theta, and the element
-    gain there, built only where the memo is narrower or on another
-    grid."""
-    memo_theta, rows, gain = _steering[0]
-    # keyed by value: theta is a fresh array, so no caller can mutate the
-    # key, and array ids are reused after garbage collection
-    if not np.array_equal(memo_theta, theta):
-        rows, gain = _NO_ROWS, element_gain(theta)
-    if n > rows.shape[0]:
-        # free the old matrix before the wider one is built
-        rows = _NO_ROWS
-        _steering[0] = (theta, rows, gain)
-        rows = steering_vector(n, theta)
-        _steering[0] = (theta, rows, gain)
-    return rows[:n], gain
+def _field(W, theta):
+    """sum_k W[k, j] exp(-j pi k sin(theta)) at each angle of theta
+    (radians), one row per column j of the (n, k) weight matrix W, by
+    Horner's rule over blocks of B = 2^ceil(bit_length(n) / 2) >= sqrt(n)
+    elements, Q = ceil(n / B) of them: with z = exp(-j pi sin(theta)),
+    the baby powers z^0 ... z^(B - 1) are repeated products in one
+    (B, M) buffer, one product of the zero-padded weights with it gives
+    each block's sum, and the blocks are summed from the last by the
+    giant step z^B = exp(-j pi fmod(B sin(theta), 2)), whose phase is
+    exact because B is a power of two. The phase error of a term grows
+    with B + Q, not with n, and the buffers hold (B + Q k) M complex
+    values (46 MB at 1024 elements x 36001 angles)."""
+    n, k = W.shape
+    B = 1 << (n.bit_length() + 1) // 2
+    Q = -(-n // B)
+    u = np.sin(theta)
+    powers = np.empty((B, u.size), dtype=complex)
+    powers[0] = 1.0
+    np.exp(-1j * np.pi * u, out=powers[1])
+    for b in range(2, B):
+        np.multiply(powers[b - 1], powers[1], out=powers[b])
+    blocks = np.zeros((Q, B, k), dtype=W.dtype)
+    blocks.reshape(Q * B, k)[:n] = W
+    sums = (blocks.transpose(0, 2, 1).reshape(Q * k, B) @ powers).reshape(
+        Q, k, u.size)
+    field = sums[-1]
+    if Q > 1:
+        giant = np.exp(-1j * np.pi * np.fmod(B * u, 2.0))
+        for block in sums[-2::-1]:
+            field *= giant
+            field += block
+    return field
 
 
 def _patterns(W, angles_deg):
-    """(angles_deg, power_dbi, power_norm_db) of
-    |sum_k W[k, j] exp(-j pi k sin(theta))|^2 * E(theta) over the given
-    angles (default grid if None): one dB row per column j of the (n, k)
-    weight matrix W, and each row less its peak."""
+    """(angles_deg, power_dbi, power_norm_db) of |_field(W)|^2 * E(theta)
+    over the given angles (default grid if None): one dB row per column j
+    of the (n, k) weight matrix W, and each row less its peak."""
     if not W.any(axis=0).all():
         raise ValueError("all-zero surface excitation")
     if angles_deg is None:
@@ -96,21 +86,9 @@ def _patterns(W, angles_deg):
     theta = np.radians(angles_deg)
     if theta.size == 0:
         raise ValueError("empty angle grid")
-    rows, gain = _steering_rows(W.shape[0], theta)
-    # real weights (surface magnitudes) take one real product on the
-    # interleaved real and imaginary parts, half the multiplies of a
-    # complex one, with the same terms; complex weights (feeder beams)
-    # take the complex product. One column goes to a GEMV, as a vector
-    # product would; a row of a wider product may differ from its GEMV
-    # curve in the last bits, whatever else is in the product
-    if np.iscomplexobj(W):
-        field = W.T @ rows
-    else:
-        field = (W.T @ rows.view(float)).view(complex)
-    power = np.abs(field)
-    del field
+    power = np.abs(_field(W, theta))
     np.square(power, out=power)
-    power *= gain
+    power *= element_gain(theta)
     np.maximum(power, _POWER_FLOOR, out=power)
     np.log10(power, out=power)
     power *= 10.0

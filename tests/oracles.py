@@ -6,7 +6,8 @@ one-element feeder's power is an exact sum over scalar geometry, which
 needs neither T nor an SVD, and the sidelobe oracle walks the sampled
 curve one sample at a time, the loop that the package's array
 comparisons replaced; longdouble_half_grid_sll sums each surface
-pattern directly in long double and walks it with that loop. The CSV
+pattern directly in long double and walks it with that loop, and
+longdouble_pattern_amplitude sums any weights' pattern so. The CSV
 writers below are the package's former
 per-row csv.writer bodies, the byte-for-byte reference for its
 block-formatted writers, and reference_T_stack is the package's former
@@ -220,6 +221,27 @@ def longdouble_half_grid_sll(X):
         values.append(None if side is None
                       else 10 * np.log10(side / row.max()))
     return values
+
+
+def longdouble_pattern_amplitude(W, theta):
+    """sqrt(max(|sum_k W[k, j] exp(-j pi k u)|^2 * 4 cos^2(theta), 1e-30))
+    for each weight column j of W, one row of the float radians theta
+    each, as a long double reference for _patterns' dB rows: u is the
+    package's float sine of each angle, and k u, exact in long double for
+    k < 2^11, is reduced mod 2 exactly before pi multiplies it, so each
+    phase is off by a long double eps of itself; the 1e-30 floor is the
+    package's power floor."""
+    theta = np.asarray(theta, dtype=float)
+    u = np.sin(theta).astype(np.longdouble)
+    k = np.arange(W.shape[0], dtype=np.longdouble)
+    phase = LONG_PI * np.fmod(np.multiply.outer(k, u), 2)
+    cos, sin = np.cos(phase), np.sin(phase)
+    re, im = (np.asarray(part, dtype=np.longdouble).T for part in
+              (np.real(W), np.imag(W)))
+    power = (re @ cos + im @ sin) ** 2 + (im @ cos - re @ sin) ** 2
+    gain = np.maximum(np.cos(theta.astype(np.longdouble)), 0)
+    power *= 4 * gain * gain
+    return np.sqrt(np.maximum(power, np.longdouble(1e-30)))
 
 
 def csv_write_pattern(curve, path):

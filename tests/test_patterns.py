@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-import weakref
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +14,13 @@ from risfeed.cli import (_fixed6_rows, main, write_pattern_csv,
 from risfeed.geometry import make_center_feed, make_end_feed
 from risfeed.coupling import build_T, element_gain
 from risfeed.modes import BeamVector, svd_modes
-from risfeed.patterns import (PatternCurve, steering_vector, amaf_pattern,
+from risfeed.patterns import (PatternCurve, _field, amaf_pattern,
                               ris_excitation, ris_pattern, sidelobe_level,
                               default_grid)
 from risfeed.sweep import optimize_f
 
-from oracles import brute_force_sidelobe, feeder_beam
+from oracles import (brute_force_sidelobe, feeder_beam,
+                     longdouble_pattern_amplitude)
 
 
 def end_feed_setup(n_p=128, f=110.0, tilted=True):
@@ -30,28 +31,82 @@ def end_feed_setup(n_p=128, f=110.0, tilted=True):
 
 
 class TestSteeringVector:
+    """At identity weights the evaluator's row k is the conjugated
+    steering vector exp(-j pi k sin(theta)) of element k."""
+
     def test_broadside_all_ones(self):
-        assert np.allclose(steering_vector(6, 0.0), np.ones(6))
+        assert np.array_equal(_field(np.eye(6), np.zeros(1)), np.ones((6, 1)))
 
     def test_endfire_two_elements(self):
-        assert np.allclose(steering_vector(2, np.pi / 2), [1.0, -1.0])
+        assert np.allclose(_field(np.eye(2), np.array([np.pi / 2])),
+                           [[1.0], [-1.0]])
 
     def test_30_deg_phases(self):
-        a = steering_vector(4, np.pi / 6)
+        a = _field(np.eye(4), np.array([np.pi / 6]))
         expected = np.exp(-1j * np.pi * np.arange(4) * 0.5)
-        assert np.allclose(a, expected)
+        assert np.allclose(a[:, 0], expected)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            steering_vector(0, 0.0)
+            patterns._patterns(np.empty((0, 1)), None)
 
     def test_angle_array_gives_one_column_per_angle(self):
         theta = np.radians(default_grid(0.5))
-        rows = steering_vector(16, theta)
+        rows = _field(np.eye(16), theta)
         assert rows.shape == (16, theta.size)
         assert np.array_equal(rows,
-                              np.stack([steering_vector(16, t)
-                                        for t in theta], axis=1))
+                              np.hstack([_field(np.eye(16), theta[i:i + 1])
+                                         for i in range(theta.size)]))
+
+
+def accuracy_weights(n, kind):
+    """Real: the pem and nonpem surface excitations of a 4 x n center
+    feed at f = 80, a column each. Complex: one column of seeded standard
+    normal parts."""
+    if kind == "real":
+        T = build_T(make_center_feed(4, n, 80.0))
+        m = svd_modes(T)
+        return np.column_stack([ris_excitation(T, feeder_beam(m, beam))
+                                for beam in ("pem", "nonpem")])
+    rng = np.random.default_rng(n)
+    return rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+
+
+class TestFieldEvaluator:
+    """Pattern rows against a long double direct sum, and the memory the
+    evaluator takes at the CLI caps."""
+
+    @pytest.mark.parametrize("grid", ["default", "shifted"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 15, 16, 17, 127, 128, 1024])
+    def test_patterns_match_long_double_sum(self, n, kind, grid):
+        # n reaches each side of the block widths 2, 4, 8, 16 and 64 and
+        # their zero padding; the shifted grid is not antisymmetric
+        angles = default_grid()
+        if grid == "shifted":
+            angles = angles[:-1] + 0.025
+        W = accuracy_weights(n, kind)
+        _, dbi, _ = patterns._patterns(W, angles)
+        want = longdouble_pattern_amplitude(W, np.radians(angles))
+        err = np.abs(10 ** (dbi / 20) - want) / want.max(axis=1,
+                                                         keepdims=True)
+        # amplitude error in eps of the row's peak amplitude: the measured
+        # worst is 14.2, on complex weights at n = 1024; phases pi k u
+        # rounded by eps of themselves, without reduction, read up to 286
+        assert err.max() <= 15 * np.finfo(float).eps
+
+    def test_traced_peak_at_the_cli_caps(self, tmp_path):
+        # 1024 elements on 36001 angles, the widest pattern the CLI
+        # draws; an N x M steering matrix alone would take 590 MB
+        tracemalloc.start()
+        try:
+            assert main(["pattern", "--array", "ris", "--np", "1024",
+                         "--f", "100", "--grid-step", "0.005",
+                         "--out", str(tmp_path / "p.csv")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 class TestDefaultGrid:
@@ -86,8 +141,9 @@ class TestDefaultGrid:
 
 
 class TestSteeringReuse:
-    """Patterns reuse the last steering matrix built; every curve must be
-    bit for bit the one a fresh build gives."""
+    """A curve depends on its weights and angles alone: calls in any
+    order, and a caller's later edits to its grid, leave every curve bit
+    for bit the one a fresh interpreter draws."""
 
     def test_interleaved_calls_match_first_calls(self):
         T, m = end_feed_setup(32, 16.0)
@@ -133,12 +189,7 @@ class TestSteeringReuse:
             T, m = end_feed_setup(128, f)
             b = feeder_beam(m, "nonpem")
             mags.append(ris_excitation(T, b))
-        amaf_pattern(b, default_grid(1.0))     # leave another grid behind
-        memo = patterns._steering[0]
         _, trace = optimize_f(4, 128, "end", True, "nonpem", f_values)
-        # the scan has tables of its own: it neither reads nor replaces
-        # the memo that pattern files use
-        assert patterns._steering[0] is memo
         _, _, rows = patterns._patterns(np.column_stack(mags), None)
         eps = np.finfo(float).eps
         for (f, val), y in zip(trace, rows):
@@ -148,102 +199,10 @@ class TestSteeringReuse:
             assert want is not None
             assert abs(val - want) <= 32 * eps * 10 ** (-want / 20), f
 
-
-    # the widest-matrix memo: one steering matrix per grid, narrower
-    # arrays use its first n rows
-
-    @staticmethod
-    def reset_memo():
-        patterns._steering[0] = (np.empty(0), patterns._NO_ROWS, np.empty(0))
-
-    @staticmethod
-    def surface(n_p):
-        T = build_T(make_center_feed(4, n_p, 80.0))
-        return T, feeder_beam(svd_modes(T), "pem")
-
-    def test_growing_memo_matches_cold_builds(self):
-        grid = default_grid()
-        shifted = grid + 0.025   # same length, other angles
-        _, b4 = self.surface(8)
-        surfaces = {n: self.surface(n) for n in (96, 160, 200)}
-
-        def ris(n):
-            return lambda: ris_pattern(*surfaces[n], grid)
-
-        calls = [("ris 160", ris(160)),
-                 ("amaf 4", lambda: amaf_pattern(b4, grid)),
-                 ("ris 96", ris(96)), ("ris 160", ris(160)),
-                 ("ris 200", ris(200)),
-                 ("amaf 4 shifted", lambda: amaf_pattern(b4, shifted))]
-        self.reset_memo()
-        warm = [call().power_dbi for _, call in calls]
-        assert patterns._steering[0][1].shape[0] == 4
-        for (name, call), got in zip(calls, warm):
-            self.reset_memo()
-            assert np.array_equal(got, call().power_dbi), name
-
-    def test_narrower_and_equal_arrays_reuse_widest_matrix(self):
-        grid = default_grid(0.5)
-        T, b = self.surface(200)
-        self.reset_memo()
-        ris_pattern(T, b, grid)
-        rows = patterns._steering[0][1]
-        assert rows.shape == (200, grid.size)
-        ris_pattern(T, b, grid)
-        ris_pattern(*self.surface(96), grid)
-        amaf_pattern(b, grid)
-        assert patterns._steering[0][1] is rows
-
-    def test_grid_change_frees_widest_matrix(self):
-        T, b = self.surface(200)
-        self.reset_memo()
-        ris_pattern(T, b)
-        widest = weakref.ref(patterns._steering[0][1])
-        assert widest() is not None
-        amaf_pattern(b, default_grid(0.5))
-        assert widest() is None
-        assert patterns._steering[0][1].shape[0] == 4
-
-    def test_growth_frees_old_matrix_before_build(self, monkeypatch):
-        grid = default_grid(0.5)
-        self.reset_memo()
-        ris_pattern(*self.surface(96), grid)
-        old = weakref.ref(patterns._steering[0][1])
-        alive, gains = [], []
-        build, gain = patterns.steering_vector, patterns.element_gain
-
-        def spy_build(n, theta):
-            alive.append(old() is not None)
-            return build(n, theta)
-
-        def spy_gain(theta):
-            gains.append(theta)
-            return gain(theta)
-
-        monkeypatch.setattr(patterns, "steering_vector", spy_build)
-        monkeypatch.setattr(patterns, "element_gain", spy_gain)
-        ris_pattern(*self.surface(160), grid)
-        assert alive == [False]
-        assert gains == []     # same grid: the gain is kept
-        assert patterns._steering[0][1].shape == (160, grid.size)
-
-    def test_narrower_rows_are_a_contiguous_view_of_widest(self):
-        theta = np.radians(default_grid(0.5))
-        self.reset_memo()
-        patterns._steering_rows(200, theta)
-        widest = patterns._steering[0][1]
-        rows, _ = patterns._steering_rows(96, theta)
-        assert patterns._steering[0][1] is widest
-        assert widest.shape == (200, theta.size)
-        assert rows.flags.c_contiguous
-        assert np.shares_memory(rows, widest)
-        assert np.array_equal(rows, steering_vector(96, theta))
-
     def test_cli_patterns_match_fresh_interpreters(self, tmp_path):
         commands = ["pattern --array ris --np 160 --f 80",
                     "pattern --np 128 --f 80",
                     "pattern --array ris --np 128 --f 80"]
-        self.reset_memo()
         for i, command in enumerate(commands):
             warm = tmp_path / f"w{i}"
             assert main(command.split() + ["--out", str(warm)]) == 0
@@ -417,8 +376,8 @@ class TestRisPattern:
 
 
 class TestRealWeights:
-    """Real weights take a real product, complex weights a complex one;
-    both hold the same terms and differ only in rounding."""
+    """Real weights and the same weights stored as complex numbers hold
+    the same terms and take the same product."""
 
     @pytest.mark.parametrize("beam", ["pem", "nonpem"])
     @pytest.mark.parametrize("feed,tilted", [("center", False),

@@ -3,8 +3,8 @@ N_p 1-1024, f log-uniform over 0.1-1e4 and every feed, and over the
 angle grids the CLI accepts.
 
 Examples are derandomized, so every run checks the same scenarios. The
-largest draw is a stack of 4 T at 1024 x 16, about 1 MB, or a steering
-matrix of 1024 elements on the default grid, 59 MB.
+largest draw is a stack of 4 T at 1024 x 16, about 1 MB, or the pattern
+of 1024 elements on the default grid, whose blocks take about 5 MB.
 
 The T kernel is drawn on flat layouts, which it builds per offset, and
 on tilted ones, which it builds per pair; both give the reference

@@ -364,9 +364,8 @@ def half_grid_mismatches():
     1, 4 and 16 and N_p 1, 2, 127 and 1024, each over 8 f in one stack
     and over one f. A full-grid value itself further than that from the
     long double sum instead holds the scan's value to LONG_DOUBLE_BOUND
-    of the long double sum: the steering-matrix product rounds each
-    phase pi k u by eps of itself, and reads up to 523 eps 10^(-sll/20)
-    off on center-feed scans at N_p 1024."""
+    of the long double sum. No full-grid value needs that today: the
+    worst is 22 eps 10^(-sll/20) off, on 16 x 1024 center feeds."""
     scans = itertools.product(
         (1, 4, 16), (1, 2, 127, 1024),
         [("center", False), ("end", False), ("end", True)],
@@ -395,9 +394,8 @@ def half_grid_mismatches():
 
 
 class TestBatchedMinSll:
-    """min_sll scores a chunk of distances with one steering-matrix
-    product, whose columns may differ from one-column products in the
-    last bits."""
+    """min_sll scores a chunk of distances with one product, whose
+    columns may differ from one-column products in the last bits."""
 
     @pytest.mark.parametrize("beam", ["pem", "nonpem"])
     @pytest.mark.parametrize("n_a,n_p,feed,tilted,f_values", [
@@ -427,8 +425,8 @@ class TestBatchedMinSll:
 
     def test_half_grid_equals_full_grid(self):
         # min_sll scans the broadside half of the grid with the centred
-        # product and must score what the full grid's steering-matrix
-        # rows score, to rounding
+        # product and must score what the full grid's pattern rows
+        # score, to rounding
         assert half_grid_mismatches() == []
 
     def test_value_does_not_depend_on_chunk_boundaries(self):
@@ -468,8 +466,7 @@ class TestLongDoubleSll:
         self.check(4, n_p, feed, tilted, beam, f_values)
 
     def test_one_f_at_1024(self):
-        # a one-column product; the steering-matrix product was 2.5e-9 dB
-        # off here, about 590 eps * 10^(-sll/20)
+        # a one-column product
         self.check(4, 1024, "center", False, "pem", [7.0])
 
     @staticmethod

@@ -22,8 +22,8 @@ beam (on scans with undefined and with tied rows, and on one in stacks
 narrower than 128 f), edge cases (a fine and several coarse angle grids,
 a 16-element feeder on an 8-element surface, a tilted table whose first
 point is undefined, a table of 70 distances, surface patterns up to 1024
-elements wide, a distance whose isotropic loss overflows, a scan on the
-first rows of a wider steering matrix, 1024-element feeder patterns out
+elements wide, a distance whose isotropic loss overflows, a scan after
+a wider surface pattern, 1024-element feeder patterns out
 to +/-90 degrees, a tilted and a flat end-feed table at 16 x 1024, a
 1024 x 1024 flat end-feed report (a flat T is copied from one entry per
 feeder-surface offset), flat single-f reports and profiles at 4 x 96
@@ -113,8 +113,8 @@ EDGE = [
     for cmd in ("analyze", "table", "pattern", "profile")] + [
     f"pattern --array ris --np {n_p} --f 100" for n_p in (256, 512, 1024)
 ] + [
-    # a 200-row steering matrix on the default grid, then a min_sll scan,
-    # which has tables of its own and leaves that matrix in place
+    # a 200-element surface pattern on the default grid, then a min_sll
+    # scan of a narrower surface, which has tables of its own
     "pattern --array ris --np 200 --f 80",
     "sweep-f --np 128 --f-min 60 --f-max 140 --objective min_sll",
     # feeder patterns whose end cells at +/-90 degrees carry the element
